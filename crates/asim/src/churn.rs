@@ -207,8 +207,9 @@ where
     /// Crash drawn by the current `begin_round`, consumed by `commit_round`.
     pending_crash: Option<Node>,
     mid_round: bool,
-    /// Observability sink: commit phases and wave-start events flow here
-    /// when attached (the simulator gets its own clone for frame events).
+    /// Observability sink: the driver advances its clock to each churn
+    /// instant and emits wave starts (the simulator gets its own clone for
+    /// frame events).
     obs: ObsHandle,
 }
 
@@ -263,11 +264,13 @@ where
         self.sim.set_fault_hook(hook);
     }
 
-    /// Attaches an observability recorder: the driver emits engine-commit
-    /// phases and per-commit [`ObsEvent::WaveStart`] events (one per dirty
-    /// originator, keyed by the commit epoch), and the underlying simulator
-    /// gets a clone for per-frame deliver/drop events on the same virtual
-    /// clock.
+    /// Attaches an observability recorder: the driver advances the
+    /// handle's virtual clock to each churn instant and emits per-commit
+    /// [`ObsEvent::WaveStart`] events (one per dirty originator, keyed by
+    /// the commit epoch), and the underlying simulator gets a clone for
+    /// per-frame deliver/drop events on the same clock.  The engine's
+    /// commit record comes from the engine's own handle: attach the same
+    /// one with [`RspanEngine::set_obs`] to put it on this timeline.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.sim.set_obs(obs.clone());
         self.obs = obs;
@@ -372,13 +375,13 @@ where
         let round = self.rounds.len();
         let at = round as VTime * self.cfg.churn_interval;
         // Commit the round's churn and mirror it onto the live adjacency.
-        // The observed commit profiles the engine's phases and emits the
-        // commit record at the boundary's virtual time.
+        // An engine sharing this handle emits its commit record at the
+        // boundary's virtual time.
         let batch = scenario.next_batch(engine.graph());
         if self.obs.on() {
             self.obs.set_now(at);
         }
-        let delta = engine.commit_observed(&batch, 1, &self.obs);
+        let delta = engine.commit(&batch);
         for change in &batch {
             match *change {
                 TopologyChange::AddEdge(u, v) => self.sim.set_link(u, v, true),

@@ -81,7 +81,8 @@
 //! / `BENCH_async.json`.  `--telemetry-out` writes the final fold of the
 //! process-wide `rspan-telemetry` registry (every session this binary
 //! builds shares one enabled handle) as Prometheus text exposition — what a
-//! scrape endpoint would serve if this process were long-lived.
+//! scrape endpoint would serve if this process were long-lived — and exits
+//! nonzero if `lint_prometheus` rejects it.
 //!
 //! Every row carries uniform run metadata — `workload`, `seed`, `wall_ms`,
 //! `threads` (the effective worker count of the row's timed commits) and
@@ -1301,10 +1302,15 @@ fn main() {
     }
     // The final fold across everything the selected workloads ran, in
     // Prometheus text exposition format — what a scrape endpoint would
-    // serve if this process were long-lived.
+    // serve if this process were long-lived.  The file is written either
+    // way, so a malformed exposition can be inspected.
     if let Some(path) = telemetry_out {
         let exposition = tel_snapshot().render_prometheus();
         std::fs::write(&path, &exposition).expect("write telemetry exposition");
         println!("wrote {path}");
+        if let Err(violation) = rspan_telemetry::lint_prometheus(&exposition) {
+            eprintln!("{path}: malformed Prometheus exposition: {violation}");
+            std::process::exit(1);
+        }
     }
 }

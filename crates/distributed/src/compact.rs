@@ -71,7 +71,7 @@ use rspan_graph::{
     bfs_into, connected_components, sorted_insert, sorted_remove, Adjacency, EpochFlags, Node,
     TraversalScratch,
 };
-use rspan_obs::{ObsEvent, ObsHandle, Phase};
+use rspan_obs::{ObsEvent, ObsHandle};
 use rspan_telemetry::{Counter, Gauge, Hist, Span, TelemetryHandle};
 use std::time::Instant;
 
@@ -371,13 +371,14 @@ pub struct CompactRouter {
     flips: Vec<(Node, Node, bool)>,
     tree_dirty: Vec<bool>,
     spare_trees: Vec<LandmarkTree>,
-    /// Wall time spent materialising rows since the last commit, flushed
-    /// into [`Phase::Materialize`] at the next `apply_observed`.
+    /// Wall time spent materialising rows since the last commit (measured
+    /// only with telemetry on), flushed into [`Span::Materialize`] at the
+    /// next [`CompactRouter::apply`].
     pending_materialize_ns: u64,
-    pending_materialized: u64,
     /// Cache counters at the last commit, for per-commit event deltas.
     cache_mark: CacheStats,
     tel: TelemetryHandle,
+    obs: ObsHandle,
     /// Cache population at the last telemetry flush, for the gauge delta.
     cache_entries_mark: i64,
 }
@@ -419,9 +420,9 @@ impl CompactRouter {
             tree_dirty: Vec::new(),
             spare_trees: Vec::new(),
             pending_materialize_ns: 0,
-            pending_materialized: 0,
             cache_mark: CacheStats::default(),
             tel: TelemetryHandle::off(),
+            obs: ObsHandle::off(),
             cache_entries_mark: 0,
         };
         for u in 0..n as Node {
@@ -450,6 +451,14 @@ impl CompactRouter {
     /// Never consulted on the off handle.
     pub fn set_telemetry(&mut self, tel: TelemetryHandle) {
         self.tel = tel;
+    }
+
+    /// Attaches a deterministic event trace: every repair emits one
+    /// [`ObsEvent::LocalRepair`] summarising the rebuilt ball rows and
+    /// landmark trees plus the cache traffic since the last commit.  Off by
+    /// default.
+    pub fn set_obs(&mut self, obs: ObsHandle) {
+        self.obs = obs;
     }
 
     /// Engine epoch the compact state currently reflects.
@@ -594,35 +603,23 @@ impl CompactRouter {
         (d != UNREACH).then_some(d)
     }
 
-    /// Consumes one engine commit and repairs the compact state; see
-    /// [`CompactRouter::apply_observed`].
+    /// Consumes one engine commit and repairs the compact state.
+    ///
+    /// With telemetry attached ([`CompactRouter::set_telemetry`]) ball-row
+    /// and landmark-tree rebuilds are timed into [`Span::BallRepair`] /
+    /// [`Span::LandmarkRepair`], and the wall time query-path
+    /// materialisation accumulated since the last commit is flushed into
+    /// [`Span::Materialize`].  With an obs handle attached
+    /// ([`CompactRouter::set_obs`]) a deterministic
+    /// [`ObsEvent::LocalRepair`] summarises the repair plus the cache
+    /// traffic since the last commit.
     pub fn apply(
         &mut self,
         engine: &RspanEngine,
         batch: &[TopologyChange],
         delta: &SpannerDelta,
     ) -> LocalRepairStats {
-        self.apply_observed(engine, batch, delta, &ObsHandle::off())
-    }
-
-    /// Like [`CompactRouter::apply`], with the repair attributed into `obs`:
-    /// ball-row rebuilds and landmark-tree rebuilds are wall-clock profiled
-    /// ([`Phase::BallRepair`] / [`Phase::LandmarkRepair`]), wall time
-    /// accumulated by query-path materialisation since the last commit is
-    /// flushed into [`Phase::Materialize`], and a deterministic
-    /// [`ObsEvent::LocalRepair`] summarises the repair plus the cache
-    /// traffic since the last commit.
-    pub fn apply_observed(
-        &mut self,
-        engine: &RspanEngine,
-        batch: &[TopologyChange],
-        delta: &SpannerDelta,
-        obs: &ObsHandle,
-    ) -> LocalRepairStats {
-        let on = obs.on();
-        let tel_on = self.tel.on();
-        let timed = on || tel_on;
-        let repair_start = tel_on.then(Instant::now);
+        let repair_start = self.tel.on().then(Instant::now);
         assert_eq!(
             delta.epoch,
             self.epoch + 1,
@@ -698,25 +695,20 @@ impl CompactRouter {
                 }
             }
         }
-        let mut stamp = timed.then(Instant::now);
+        let mut span = self.tel.span(Span::BallRepair);
         let dirty_rows = std::mem::take(&mut self.dirty_list);
         for &u in &dirty_rows {
             self.fill_ball(engine, u);
         }
         self.dirty_list = dirty_rows;
         let ball_rows = self.dirty_list.len();
-        if let Some(start) = stamp {
-            let ns = start.elapsed().as_nanos() as u64;
-            if on {
-                obs.phase(Phase::BallRepair, ns, ball_rows as u64);
-            }
-            self.tel.span_record(Span::BallRepair, ns, ball_rows as u64);
-        }
+        span.add_items(ball_rows as u64);
+        drop(span);
 
         // Landmark set + trees: re-elect on any spanner flip (component
         // structure may have changed), rebuild dirty and new trees, retire
         // trees of demoted landmarks into the spare pool.
-        stamp = timed.then(Instant::now);
+        let mut span = self.tel.span(Span::LandmarkRepair);
         let mut trees_rebuilt = 0usize;
         if !self.flips.is_empty() {
             let old_landmarks = std::mem::take(&mut self.landmarks);
@@ -763,55 +755,37 @@ impl CompactRouter {
             self.spare_trees
                 .extend(keep.into_iter().flatten().map(|(tree, _)| tree));
         }
-        if let Some(start) = stamp {
-            let ns = start.elapsed().as_nanos() as u64;
-            if on {
-                obs.phase(Phase::LandmarkRepair, ns, trees_rebuilt as u64);
-            }
-            self.tel
-                .span_record(Span::LandmarkRepair, ns, trees_rebuilt as u64);
-        }
+        span.add_items(trees_rebuilt as u64);
+        drop(span);
 
-        if timed && self.pending_materialized > 0 {
-            if on {
-                obs.phase(
-                    Phase::Materialize,
-                    self.pending_materialize_ns,
-                    self.pending_materialized,
-                );
-            }
-            self.tel.span_record(
-                Span::Materialize,
-                self.pending_materialize_ns,
-                self.pending_materialized,
-            );
+        let s = self.cache.stats;
+        let m = self.cache_mark;
+        // Rows materialise one by one on the query path, so their time is
+        // accumulated there and recorded here as one span per commit.
+        let materialized = s.materialized - m.materialized;
+        if materialized > 0 {
+            self.tel
+                .span_record(Span::Materialize, self.pending_materialize_ns, materialized);
         }
-        if tel_on {
-            let s = self.cache.stats;
-            let m = self.cache_mark;
+        if let Some(start) = repair_start {
             self.tel.incr(Counter::CompactRepairs);
             self.tel.add(Counter::CompactBallRows, ball_rows as u64);
             self.tel
                 .add(Counter::CompactTreesRebuilt, trees_rebuilt as u64);
             self.tel.add(Counter::CacheHits, s.hits - m.hits);
             self.tel.add(Counter::CacheMisses, s.misses - m.misses);
-            self.tel
-                .add(Counter::CacheMaterialized, s.materialized - m.materialized);
+            self.tel.add(Counter::CacheMaterialized, materialized);
             self.tel
                 .add(Counter::CacheEvictions, s.evictions - m.evictions);
             let entries = self.cache.slots.len() as i64;
             self.tel
                 .gauge_add(Gauge::CacheEntries, entries - self.cache_entries_mark);
             self.cache_entries_mark = entries;
-            if let Some(start) = repair_start {
-                self.tel
-                    .observe(Hist::RepairNs, start.elapsed().as_nanos() as u64);
-            }
+            self.tel
+                .observe(Hist::RepairNs, start.elapsed().as_nanos() as u64);
         }
-        if on {
-            let s = self.cache.stats;
-            let m = self.cache_mark;
-            obs.emit(ObsEvent::LocalRepair {
+        if self.obs.on() {
+            self.obs.emit(ObsEvent::LocalRepair {
                 epoch: delta.epoch,
                 ball_rows: ball_rows as u32,
                 landmark_trees: trees_rebuilt as u32,
@@ -823,7 +797,6 @@ impl CompactRouter {
             });
         }
         self.pending_materialize_ns = 0;
-        self.pending_materialized = 0;
         self.cache_mark = self.cache.stats;
         self.epoch = delta.epoch;
         LocalRepairStats {
@@ -1115,9 +1088,10 @@ impl CompactRouter {
 
     /// Fills `slot` with `u`'s exact canonical row (the same sparse sweep
     /// [`crate::delta::DeltaRouter`] runs), stamping it with the current
-    /// epoch and accumulating wall time for [`Phase::Materialize`].
+    /// epoch and, with telemetry on, accumulating wall time for
+    /// [`Span::Materialize`].
     fn materialize_into(&mut self, engine: &RspanEngine, u: Node, slot: &mut RowSlot, tick: u64) {
-        let start = Instant::now();
+        let start = self.tel.on().then(Instant::now);
         let n = self.n;
         self.src_neighbors.clear();
         engine
@@ -1146,8 +1120,9 @@ impl CompactRouter {
         slot.epoch = self.epoch;
         slot.last_used = tick;
         self.cache.stats.materialized += 1;
-        self.pending_materialized += 1;
-        self.pending_materialize_ns += start.elapsed().as_nanos() as u64;
+        if let Some(start) = start {
+            self.pending_materialize_ns += start.elapsed().as_nanos() as u64;
+        }
     }
 }
 
@@ -1329,22 +1304,35 @@ mod tests {
         let mut engine_b = RspanEngine::new(g.clone(), algo);
         let mut plain = CompactRouter::new(&engine_a, LocalConfig::default());
         let mut observed = CompactRouter::new(&engine_b, LocalConfig::default());
+        let obs = ObsHandle::mem(ObsConfig::default());
+        let tel = TelemetryHandle::enabled();
+        observed.set_obs(obs.clone());
+        observed.set_telemetry(tel.clone());
+        // Query-path materialisations before the commit are flushed into
+        // one Materialize span by the next apply.
+        for v in 1..4 {
+            assert_eq!(
+                plain.exact_next_hop(&engine_a, 0, v),
+                observed.exact_next_hop(&engine_b, 0, v)
+            );
+        }
         let (eu, ev) = g.edges().next().unwrap();
         let batch = [TopologyChange::RemoveEdge(eu, ev)];
         let delta_a = engine_a.commit(&batch);
         let delta_b = engine_b.commit(&batch);
         assert_eq!(delta_a, delta_b);
-        let obs = ObsHandle::mem(ObsConfig::default());
         let stats_plain = plain.apply(&engine_a, &batch, &delta_a);
-        let stats_obs = observed.apply_observed(&engine_b, &batch, &delta_b, &obs);
+        let stats_obs = observed.apply(&engine_b, &batch, &delta_b);
         assert_eq!(stats_plain, stats_obs, "observation changed the repair");
         let report = obs.take_report().expect("recorder attached");
         assert_eq!(report.lines.len(), 1);
         assert!(report.lines[0].contains("\"kind\":\"local_repair\""));
-        assert!(report
-            .phases
-            .iter()
-            .any(|p| p.phase == Phase::BallRepair && p.items == stats_obs.ball_rows as u64));
+        let snap = tel.snapshot().expect("telemetry enabled");
+        let ball = snap.span(Span::BallRepair);
+        assert_eq!((ball.calls, ball.items), (1, stats_obs.ball_rows as u64));
+        assert_eq!(snap.span(Span::LandmarkRepair).calls, 1);
+        let materialize = snap.span(Span::Materialize);
+        assert_eq!((materialize.calls, materialize.items), (1, 1));
     }
 
     #[test]

@@ -68,7 +68,7 @@
 use crate::tables::{fill_row, RoutingTables, NO_HOP, UNREACH};
 use rspan_engine::{RspanEngine, SpannerDelta, TopologyChange};
 use rspan_graph::{sorted_insert, sorted_remove, Adjacency, EpochFlags, Node};
-use rspan_obs::{ObsEvent, ObsHandle, Phase};
+use rspan_obs::{ObsEvent, ObsHandle};
 use rspan_telemetry::{Counter, Hist, Span, TelemetryHandle};
 use std::time::Instant;
 
@@ -187,6 +187,7 @@ pub struct DeltaRouter {
     /// `(x, y, is_add)`, adds first, both groups in delta order.
     flips: Vec<(Node, Node, bool)>,
     tel: TelemetryHandle,
+    obs: ObsHandle,
 }
 
 impl DeltaRouter {
@@ -220,6 +221,7 @@ impl DeltaRouter {
             affected_rows: Vec::new(),
             flips: Vec::new(),
             tel: TelemetryHandle::off(),
+            obs: ObsHandle::off(),
         };
         for u in 0..n as Node {
             router.fill(engine, u);
@@ -265,6 +267,14 @@ impl DeltaRouter {
         self.tel = tel;
     }
 
+    /// Attaches a deterministic event trace: every repair emits one
+    /// [`ObsEvent::Repair`] recording how many rows the batch marked
+    /// directly, how many the flip scan marked, how many the scan proved
+    /// unaffected and how many were recomputed.  Off by default.
+    pub fn set_obs(&mut self, obs: ObsHandle) {
+        self.obs = obs;
+    }
+
     /// Engine epoch the tables currently reflect.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -291,35 +301,16 @@ impl DeltaRouter {
     /// [`SpannerDelta`] it emitted — and repairs exactly the affected rows.
     ///
     /// `engine` must be the engine that produced `delta` (post-commit), and
-    /// deltas must arrive in epoch order; both are asserted.
+    /// deltas must arrive in epoch order; both are asserted.  The stored
+    /// telemetry and obs handles instrument the repair
+    /// ([`DeltaRouter::set_telemetry`], [`DeltaRouter::set_obs`]).
     pub fn apply(
         &mut self,
         engine: &RspanEngine,
         batch: &[TopologyChange],
         delta: &SpannerDelta,
     ) -> RepairStats {
-        self.apply_observed(engine, batch, delta, &ObsHandle::off())
-    }
-
-    /// Like [`DeltaRouter::apply`], with the repair attributed into `obs`:
-    /// the flip scan and row refill are wall-clock profiled
-    /// ([`Phase::RepairSweep`] / [`Phase::RepairFill`], profile channel
-    /// only), and a deterministic [`ObsEvent::Repair`] summary records how
-    /// many rows the batch marked directly, how many the flip scan marked,
-    /// how many the scan proved unaffected and how many were recomputed.
-    /// With the off handle this *is* `apply` — one branch, no timing, no
-    /// allocation.
-    pub fn apply_observed(
-        &mut self,
-        engine: &RspanEngine,
-        batch: &[TopologyChange],
-        delta: &SpannerDelta,
-        obs: &ObsHandle,
-    ) -> RepairStats {
-        let on = obs.on();
-        let tel_on = self.tel.on();
-        let timed = on || tel_on;
-        let repair_start = tel_on.then(Instant::now);
+        let repair_start = self.tel.on().then(Instant::now);
         assert_eq!(
             delta.epoch,
             self.epoch + 1,
@@ -355,7 +346,8 @@ impl DeltaRouter {
             .extend(delta.added.iter().map(|&(x, y)| (x, y, true)));
         self.flips
             .extend(delta.removed.iter().map(|&(x, y)| (x, y, false)));
-        let mut stamp = timed.then(Instant::now);
+        let mut span = self.tel.span(Span::RepairSweep);
+        span.add_items(self.flips.len() as u64);
         if !self.flips.is_empty() {
             for u in 0..n as Node {
                 if self.affected.test(u) {
@@ -406,14 +398,7 @@ impl DeltaRouter {
                 }
             }
         }
-        if let Some(start) = stamp {
-            let ns = start.elapsed().as_nanos() as u64;
-            let items = self.flips.len() as u64;
-            if on {
-                obs.phase(Phase::RepairSweep, ns, items);
-            }
-            self.tel.span_record(Span::RepairSweep, ns, items);
-        }
+        drop(span);
 
         // Update the sparse spanner adjacency, then rebuild the marked rows
         // over the post-flip structure.
@@ -429,22 +414,16 @@ impl DeltaRouter {
             sorted_insert(&mut self.spanner_adj[x as usize], y);
             sorted_insert(&mut self.spanner_adj[y as usize], x);
         }
-        stamp = timed.then(Instant::now);
+        let mut span = self.tel.span(Span::RepairFill);
         let rows = std::mem::take(&mut self.affected_rows);
         for &u in &rows {
             self.fill(engine, u);
         }
+        span.add_items(rows.len() as u64);
+        drop(span);
         self.affected_rows = rows;
-        if let Some(start) = stamp {
-            let ns = start.elapsed().as_nanos() as u64;
-            let items = self.affected_rows.len() as u64;
-            if on {
-                obs.phase(Phase::RepairFill, ns, items);
-            }
-            self.tel.span_record(Span::RepairFill, ns, items);
-        }
-        if on {
-            obs.emit(ObsEvent::Repair {
+        if self.obs.on() {
+            self.obs.emit(ObsEvent::Repair {
                 epoch: delta.epoch,
                 marked_batch: marked_batch as u32,
                 marked_flips: (self.affected_rows.len() - marked_batch) as u32,
@@ -453,7 +432,7 @@ impl DeltaRouter {
                 flips: self.flips.len() as u32,
             });
         }
-        if tel_on {
+        if let Some(start) = repair_start {
             self.tel.incr(Counter::RouterRepairs);
             self.tel
                 .add(Counter::RouterRepairedRows, self.affected_rows.len() as u64);
@@ -462,10 +441,8 @@ impl DeltaRouter {
                 Counter::RouterSkippedRows,
                 (n - self.affected_rows.len()) as u64,
             );
-            if let Some(start) = repair_start {
-                self.tel
-                    .observe(Hist::RepairNs, start.elapsed().as_nanos() as u64);
-            }
+            self.tel
+                .observe(Hist::RepairNs, start.elapsed().as_nanos() as u64);
         }
         self.epoch = delta.epoch;
         RepairStats {
@@ -565,14 +542,17 @@ mod tests {
         let mut engine_b = RspanEngine::new(g.clone(), algo);
         let mut plain = DeltaRouter::new(&engine_a);
         let mut observed = DeltaRouter::new(&engine_b);
+        let obs = ObsHandle::mem(ObsConfig::default());
+        let tel = TelemetryHandle::enabled();
+        observed.set_obs(obs.clone());
+        observed.set_telemetry(tel.clone());
         let (eu, ev) = g.edges().next().unwrap();
         let batch = [TopologyChange::RemoveEdge(eu, ev)];
         let delta_a = engine_a.commit(&batch);
         let delta_b = engine_b.commit(&batch);
         assert_eq!(delta_a, delta_b);
-        let obs = ObsHandle::mem(ObsConfig::default());
         let stats_plain = plain.apply(&engine_a, &batch, &delta_a);
-        let stats_obs = observed.apply_observed(&engine_b, &batch, &delta_b, &obs);
+        let stats_obs = observed.apply(&engine_b, &batch, &delta_b);
         assert_eq!(stats_plain, stats_obs, "observation changed the repair");
         assert_eq!(plain.tables(), observed.tables());
         let report = obs.take_report().expect("recorder attached");
@@ -580,10 +560,13 @@ mod tests {
         let line = &report.lines[0];
         assert!(line.contains("\"kind\":\"repair\""), "{line}");
         assert!(line.contains(&format!("\"repaired\":{}", stats_obs.rows_recomputed)));
-        assert!(report
-            .phases
-            .iter()
-            .any(|p| p.phase == Phase::RepairFill && p.items == stats_obs.rows_recomputed as u64));
+        let snap = tel.snapshot().expect("telemetry enabled");
+        let fill = snap.span(Span::RepairFill);
+        assert_eq!(
+            (fill.calls, fill.items),
+            (1, stats_obs.rows_recomputed as u64)
+        );
+        assert_eq!(snap.span(Span::RepairSweep).calls, 1);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use rspan_graph::{
     bfs_into, resolve_threads, CsrGraph, DynamicGraph, EdgeSet, EpochFlags, Node, Subgraph,
     TraversalScratch,
 };
-use rspan_obs::{ObsEvent, ObsHandle, Phase};
+use rspan_obs::{ObsEvent, ObsHandle};
 use rspan_telemetry::{Counter, Hist, Span, TelemetryHandle};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -158,9 +158,12 @@ pub struct RspanEngine {
     /// [`RspanEngine::commit_parallel`].
     par_dom: Vec<DomScratch>,
     /// Live wall-clock telemetry (counters, commit histogram, per-worker
-    /// phase spans).  Off by default; unlike `obs` it is `Sync`, so rebuild
-    /// workers record into it directly.
+    /// phase spans).  Off by default; it is `Sync`, so rebuild workers
+    /// record into it directly.
     tel: TelemetryHandle,
+    /// Deterministic event trace: one [`ObsEvent::Commit`] per commit.
+    /// Off by default.
+    obs: ObsHandle,
 }
 
 /// Dirty nodes per work-chunk claimed by a parallel-commit worker: small
@@ -207,6 +210,7 @@ impl RspanEngine {
             work: Vec::new(),
             par_dom: Vec::new(),
             tel: TelemetryHandle::off(),
+            obs: ObsHandle::off(),
         };
         for u in 0..n as Node {
             let mut edges = std::mem::take(&mut engine.trees[u as usize]);
@@ -229,12 +233,21 @@ impl RspanEngine {
     }
 
     /// Attaches a live telemetry handle: commits count into the sharded
-    /// registry, the commit wall time feeds [`Hist::CommitNs`], and every
+    /// registry, the commit wall time feeds [`Hist::CommitNs`], each commit
+    /// phase records one span ([`Span::Mark`] → [`Span::Compact`]) and every
     /// rebuild worker records its own busy time as a [`Span::Rebuild`] span.
     /// Telemetry is wall-clock only — deltas, spanner state and obs event
     /// logs stay bit-identical with it attached (property-tested).
     pub fn set_telemetry(&mut self, tel: TelemetryHandle) {
         self.tel = tel;
+    }
+
+    /// Attaches a deterministic event trace: every commit emits one
+    /// [`ObsEvent::Commit`] summary at the handle's current virtual time
+    /// (the scheduler that owns the clock advances it).  With the off
+    /// handle — the default — no event is built.
+    pub fn set_obs(&mut self, obs: ObsHandle) {
+        self.obs = obs;
     }
 
     /// The tree algorithm every node runs.
@@ -330,40 +343,16 @@ impl RspanEngine {
     /// spanner, delta, epoch — is **bit-identical** to the sequential
     /// [`RspanEngine::commit`] at any thread count (property-tested at 2,
     /// 4 and 8 workers).
+    ///
+    /// Instrumentation comes from the stored handles: with telemetry
+    /// attached ([`RspanEngine::set_telemetry`]) each phase is timed once
+    /// into its span — the rebuild **inside each worker**, so
+    /// [`Span::Rebuild`] sums worker busy time — and with an obs handle
+    /// attached ([`RspanEngine::set_obs`]) the commit emits one
+    /// [`ObsEvent::Commit`].  Off handles cost one branch per site, with no
+    /// clock read or allocation (the on ≡ off property tests pin this).
     pub fn commit_parallel(&mut self, batch: &[TopologyChange], threads: usize) -> SpannerDelta {
-        self.commit_observed(batch, threads, &ObsHandle::off())
-    }
-
-    /// Like [`RspanEngine::commit_parallel`], with the commit's phases
-    /// (dirty-ball marking, tree retire/rebuild/install, delta assembly,
-    /// compaction) profiled into `obs` and a deterministic
-    /// [`ObsEvent::Commit`] summary emitted at the recorder's current virtual
-    /// time.  With the off handle this *is* `commit_parallel` — every
-    /// instrumentation site hides behind one predictable branch, and no
-    /// timing, event construction or allocation happens (the recorder-off
-    /// bit-identity property tests pin this).
-    ///
-    /// When a [`TelemetryHandle`] is attached ([`RspanEngine::set_telemetry`])
-    /// the same phase measurements also land in the lock-free span registry,
-    /// and — because the telemetry shards are `Sync` — the rebuild phase is
-    /// timed **inside each worker**: the obs [`Phase::Rebuild`] row reports
-    /// the summed per-worker busy time rather than the committing thread's
-    /// wall time around the whole scope, so observed parallel commits stop
-    /// under-reporting rebuild work.
-    ///
-    /// Wall-clock phase timings flow only through the recorder's profile
-    /// channel and the telemetry registry, never into the deterministic
-    /// event log.
-    pub fn commit_observed(
-        &mut self,
-        batch: &[TopologyChange],
-        threads: usize,
-        obs: &ObsHandle,
-    ) -> SpannerDelta {
-        let on = obs.on();
-        let tel_on = self.tel.on();
-        let timed = on || tel_on;
-        let commit_start = tel_on.then(Instant::now);
+        let commit_start = self.tel.on().then(Instant::now);
         let threads = resolve_threads(threads);
         let n = self.graph.n();
         let radius = self.dirty_radius();
@@ -373,7 +362,7 @@ impl RspanEngine {
         self.touched.clear();
 
         // Dirty balls in the pre-batch topology.
-        let mut stamp = timed.then(Instant::now);
+        let mut span = self.tel.span(Span::Mark);
         self.mark_balls(batch, radius);
         // Apply the batch (validates each change).
         for change in batch {
@@ -381,14 +370,8 @@ impl RspanEngine {
         }
         // Dirty balls in the post-batch topology.
         self.mark_balls(batch, radius);
-        if let Some(start) = stamp {
-            let ns = start.elapsed().as_nanos() as u64;
-            let items = self.dirty_list.len() as u64;
-            if on {
-                obs.phase(Phase::Mark, ns, items);
-            }
-            self.tel.span_record(Span::Mark, ns, items);
-        }
+        span.add_items(self.dirty_list.len() as u64);
+        drop(span);
 
         // Phase 1 — retire: pull every dirty tree out of the cache and undo
         // its refcount contribution, snapshotting each pair's pre-commit
@@ -397,7 +380,7 @@ impl RspanEngine {
         // i.e. pairs no retired tree held — so the all-decrements-first
         // phasing records exactly the same pre-commit presence the
         // interleaved sequential sweep did).
-        stamp = timed.then(Instant::now);
+        let mut span = self.tel.span(Span::Retire);
         let mut work = std::mem::take(&mut self.work);
         work.clear();
         for i in 0..self.dirty_list.len() {
@@ -418,25 +401,14 @@ impl RspanEngine {
             edges.clear();
             work.push((u, edges));
         }
-        if let Some(start) = stamp {
-            let ns = start.elapsed().as_nanos() as u64;
-            let items = work.len() as u64;
-            if on {
-                obs.phase(Phase::Retire, ns, items);
-            }
-            self.tel.span_record(Span::Retire, ns, items);
-        }
+        span.add_items(work.len() as u64);
+        drop(span);
 
         // Phase 2 — rebuild: recompute exactly the dirty trees, sharded
-        // across workers when the dirty set is worth the fan-out.  Workers
-        // time themselves (the telemetry shards are `Sync`, unlike the obs
-        // handle) and the committing thread folds the per-worker busy time
-        // into the obs profile — the Rebuild row is Σ worker busy ns, not
-        // the scope's wall time.
-        stamp = timed.then(Instant::now);
-        let mut rebuild_busy_ns = 0u64;
-        let parallel = threads > 1 && work.len() >= 2 * DIRTY_CHUNK;
-        if parallel {
+        // across workers when the dirty set is worth the fan-out.  Each
+        // worker times itself (the telemetry shards are `Sync`), so the
+        // Rebuild span is Σ worker busy ns, not the scope's wall time.
+        if threads > 1 && work.len() >= 2 * DIRTY_CHUNK {
             while self.par_dom.len() < threads {
                 self.par_dom.push(DomScratch::with_capacity(n));
             }
@@ -456,59 +428,33 @@ impl RspanEngine {
                 buckets[i / block].push(chunk);
             }
             std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .into_iter()
-                    .zip(self.par_dom.iter_mut())
-                    .map(|(bucket, dom)| {
-                        scope.spawn(move || {
-                            let t0 = timed.then(Instant::now);
-                            let mut items = 0u64;
-                            for chunk in bucket {
-                                for (u, edges) in chunk.iter_mut() {
-                                    let tree = algo.build_with_scratch(graph, *u, dom);
-                                    debug_assert_eq!(tree.root(), *u);
-                                    tree.for_each_edge(|p, c| edges.push((p, c)));
-                                    items += 1;
-                                }
+                for (bucket, dom) in buckets.into_iter().zip(self.par_dom.iter_mut()) {
+                    scope.spawn(move || {
+                        let mut span = tel.span(Span::Rebuild);
+                        for chunk in bucket {
+                            for (u, edges) in chunk.iter_mut() {
+                                let tree = algo.build_with_scratch(graph, *u, dom);
+                                debug_assert_eq!(tree.root(), *u);
+                                tree.for_each_edge(|p, c| edges.push((p, c)));
                             }
-                            t0.map_or(0, |t0| {
-                                let ns = t0.elapsed().as_nanos() as u64;
-                                tel.span_record(Span::Rebuild, ns, items);
-                                ns
-                            })
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    rebuild_busy_ns += handle.join().expect("rebuild worker panicked");
+                            span.add_items(chunk.len() as u64);
+                        }
+                    });
                 }
             });
         } else {
+            let mut span = self.tel.span(Span::Rebuild);
             for (u, edges) in work.iter_mut() {
                 let tree = self.algo.build_with_scratch(&self.graph, *u, &mut self.dom);
                 debug_assert_eq!(tree.root(), *u);
                 tree.for_each_edge(|p, c| edges.push((p, c)));
             }
-        }
-        if let Some(start) = stamp {
-            let items = work.len() as u64;
-            let busy_ns = if parallel {
-                rebuild_busy_ns
-            } else {
-                let ns = start.elapsed().as_nanos() as u64;
-                // Sequential rebuild: busy time is the wall time; record the
-                // telemetry span here (the parallel path recorded per worker).
-                self.tel.span_record(Span::Rebuild, ns, items);
-                ns
-            };
-            if on {
-                obs.phase(Phase::Rebuild, busy_ns, items);
-            }
+            span.add_items(work.len() as u64);
         }
 
         // Phase 3 — install: merge the per-shard contributions back into the
         // refcounted spanner, in `dirty_list` order.
-        stamp = timed.then(Instant::now);
+        let mut span = self.tel.span(Span::Install);
         for (u, edges) in work.iter_mut() {
             for &(p, c) in edges.iter() {
                 let key = pack(p, c);
@@ -521,17 +467,11 @@ impl RspanEngine {
             self.trees[*u as usize] = std::mem::take(edges);
         }
         self.work = work;
-        if let Some(start) = stamp {
-            let ns = start.elapsed().as_nanos() as u64;
-            let items = self.dirty_list.len() as u64;
-            if on {
-                obs.phase(Phase::Install, ns, items);
-            }
-            self.tel.span_record(Span::Install, ns, items);
-        }
+        span.add_items(self.dirty_list.len() as u64);
+        drop(span);
 
         // Net delta: pairs whose presence flipped across the commit.
-        stamp = timed.then(Instant::now);
+        let mut span = self.tel.span(Span::Delta);
         let mut added = Vec::new();
         let mut removed = Vec::new();
         for (&key, &pre) in &self.touched {
@@ -546,31 +486,19 @@ impl RspanEngine {
         removed.sort_unstable();
         let mut recomputed = self.dirty_list.clone();
         recomputed.sort_unstable();
-        if let Some(start) = stamp {
-            let ns = start.elapsed().as_nanos() as u64;
-            let items = (added.len() + removed.len()) as u64;
-            if on {
-                obs.phase(Phase::Delta, ns, items);
-            }
-            self.tel.span_record(Span::Delta, ns, items);
-        }
+        span.add_items((added.len() + removed.len()) as u64);
+        drop(span);
 
         // Amortised compaction keeps neighbor scans near CSR speed.
         let compacted = self.graph.should_compact(self.compact_fraction);
         if compacted {
-            stamp = timed.then(Instant::now);
+            let mut span = self.tel.span(Span::Compact);
             self.graph.compact();
-            if let Some(start) = stamp {
-                let ns = start.elapsed().as_nanos() as u64;
-                if on {
-                    obs.phase(Phase::Compact, ns, 1);
-                }
-                self.tel.span_record(Span::Compact, ns, 1);
-            }
+            span.add_items(1);
         }
 
-        if on {
-            obs.emit(ObsEvent::Commit {
+        if self.obs.on() {
+            self.obs.emit(ObsEvent::Commit {
                 epoch: self.epoch,
                 batch: batch.len() as u32,
                 dirty: recomputed.len() as u32,
@@ -578,7 +506,7 @@ impl RspanEngine {
                 removed: removed.len() as u32,
             });
         }
-        if tel_on {
+        if let Some(t0) = commit_start {
             self.tel.incr(Counter::EngineCommits);
             self.tel
                 .add(Counter::EngineBatchChanges, batch.len() as u64);
@@ -586,10 +514,8 @@ impl RspanEngine {
                 .add(Counter::EngineDirtyNodes, recomputed.len() as u64);
             self.tel
                 .add(Counter::EngineTreesRebuilt, recomputed.len() as u64);
-            if let Some(t0) = commit_start {
-                self.tel
-                    .observe(Hist::CommitNs, t0.elapsed().as_nanos() as u64);
-            }
+            self.tel
+                .observe(Hist::CommitNs, t0.elapsed().as_nanos() as u64);
         }
 
         SpannerDelta {
@@ -738,25 +664,24 @@ mod tests {
         let algo = TreeAlgo::KGreedy { k: 2 };
         let mut plain = RspanEngine::new(g.clone(), algo);
         let mut observed = RspanEngine::new(g.clone(), algo);
+        let obs = ObsHandle::mem(ObsConfig::default());
+        let tel = TelemetryHandle::enabled();
+        observed.set_obs(obs.clone());
+        observed.set_telemetry(tel.clone());
         let (u, v) = g.edges().next().unwrap();
         let batch = [TopologyChange::RemoveEdge(u, v)];
-        let obs = ObsHandle::mem(ObsConfig::default());
         obs.set_now(3);
         let d_plain = plain.commit(&batch);
-        let d_obs = observed.commit_observed(&batch, 1, &obs);
+        let d_obs = observed.commit(&batch);
         assert_eq!(d_plain, d_obs, "observation changed the commit result");
         assert_eq!(plain.spanner_pairs(), observed.spanner_pairs());
+        let snap = tel.snapshot().expect("telemetry enabled");
+        for span in [Span::Mark, Span::Retire, Span::Rebuild, Span::Install] {
+            assert_eq!(snap.span(span).calls, 1, "one {span:?} span per commit");
+        }
+        assert_eq!(snap.span(Span::Mark).items, d_obs.recomputed.len() as u64);
         let report = obs.take_report().expect("recorder attached");
         assert_eq!(report.commits, 1);
-        for phase in [Phase::Mark, Phase::Retire, Phase::Rebuild, Phase::Install] {
-            assert!(
-                report
-                    .phases
-                    .iter()
-                    .any(|p| p.phase == phase && p.calls == 1),
-                "missing profile for {phase:?}"
-            );
-        }
         assert_eq!(report.lines.len(), 1);
         assert!(report.lines[0].starts_with("{\"t\":3,\"kind\":\"commit\",\"epoch\":1,"));
     }
@@ -764,48 +689,45 @@ mod tests {
     #[test]
     fn parallel_observed_commit_folds_worker_rebuild_time() {
         use rspan_obs::ObsConfig;
-        use rspan_telemetry::TelemetryHandle;
         let g = gnp_connected(300, 0.03, 11);
         let algo = TreeAlgo::KGreedy { k: 2 };
         let mut plain = RspanEngine::new(g.clone(), algo);
         let mut instrumented = RspanEngine::new(g, algo);
         let tel = TelemetryHandle::enabled();
+        let obs = ObsHandle::mem(ObsConfig::default());
         instrumented.set_telemetry(tel.clone());
+        instrumented.set_obs(obs.clone());
         let edges: Vec<(Node, Node)> = plain.graph().base().edges().take(12).collect();
         let batch: Vec<TopologyChange> = edges
             .into_iter()
             .map(|(u, v)| TopologyChange::RemoveEdge(u, v))
             .collect();
-        let obs = ObsHandle::mem(ObsConfig::default());
         let d_plain = plain.commit(&batch);
-        let d_inst = instrumented.commit_observed(&batch, 4, &obs);
+        let d_inst = instrumented.commit_parallel(&batch, 4);
         // Telemetry + observation never perturb the deterministic result.
         assert_eq!(d_plain, d_inst, "instrumentation changed the commit");
         assert_eq!(plain.spanner_pairs(), instrumented.spanner_pairs());
-        let report = obs.take_report().expect("recorder attached");
-        let rebuild = report
-            .phases
-            .iter()
-            .find(|p| p.phase == Phase::Rebuild)
-            .expect("rebuild profiled");
-        assert_eq!(rebuild.items, d_inst.recomputed.len() as u64);
         let snap = tel.snapshot().expect("telemetry enabled");
         let span = snap.span(Span::Rebuild);
-        // One span per engaged worker, covering every dirty tree exactly
-        // once, and the obs row carries the same summed busy time.
+        // One span per engaged worker, folded across the workers' shards,
+        // covering every dirty tree exactly once.
         assert!(
             span.calls >= 2,
             "parallel rebuild engaged {} workers",
             span.calls
         );
         assert_eq!(span.items, d_inst.recomputed.len() as u64);
-        assert_eq!(span.wall_ns, rebuild.wall_ns);
+        assert_eq!(snap.span(Span::Mark).calls, 1);
         assert_eq!(snap.counter(Counter::EngineCommits), 1);
         assert_eq!(
             snap.counter(Counter::EngineDirtyNodes),
             d_inst.recomputed.len() as u64
         );
         assert_eq!(snap.hist(Hist::CommitNs).count, 1);
+        let report = obs.take_report().expect("recorder attached");
+        assert_eq!(report.commits, 1);
+        let dirty = format!("\"dirty\":{},", d_inst.recomputed.len());
+        assert!(report.lines[0].contains(&dirty), "{}", report.lines[0]);
     }
 
     #[test]

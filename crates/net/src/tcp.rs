@@ -21,6 +21,7 @@
 //! equals `WireSize::wire_bytes`.  `sent_nanos` is on the shared
 //! [`TickClock`] nanosecond base, giving the send-to-receive latency
 //! histogram without cross-machine clock agreement (loopback only).
+//! Readers reject oversize and undecodable frames (see `reader_loop`).
 
 use crate::clock::TickClock;
 use crate::codec::WireCodec;
@@ -49,6 +50,12 @@ const MAX_RECONNECTS: u32 = 5;
 
 /// Header: `[u32 len][u32 from][u64 sent_nanos]`.
 const HEADER_BYTES: usize = 16;
+
+/// Largest payload a reader accepts, in bytes.  The largest legitimate
+/// frame is a `RepairMsg::TreeAdvert` of a spanning tree, 20 + 8·(n − 1)
+/// bytes, so this cap admits networks of two million nodes while a corrupt
+/// header can no longer make a reader allocate up to 4 GiB.
+const MAX_FRAME: usize = 16 << 20;
 
 fn encode_frame<M: WireCodec>(from: Node, sent_nanos: u64, msg: &M) -> Vec<u8> {
     let payload = msg.wire_bytes() as usize;
@@ -140,28 +147,64 @@ where
     }
 }
 
-/// Reads length-prefixed frames off one accepted connection and forwards
-/// them into the node's command queue.
-fn reader_loop<P>(mut stream: TcpStream, tx: Sender<NodeCmd<P>>)
-where
+/// What [`read_frame`] found: a whole frame (`from`, `sent_nanos`; the
+/// payload is in the caller's buffer), a header announcing more than
+/// [`MAX_FRAME`] bytes (nothing past it read or allocated), or EOF.
+#[derive(Debug, PartialEq, Eq)]
+enum Frame {
+    Data(Node, u64),
+    Oversize,
+    Closed,
+}
+
+/// Reads one length-prefixed frame, its payload into `payload`.
+fn read_frame(stream: &mut impl Read, payload: &mut Vec<u8>) -> Frame {
+    let mut header = [0u8; HEADER_BYTES];
+    if stream.read_exact(&mut header).is_err() {
+        return Frame::Closed; // EOF: peer closed (teardown) or connection reset
+    }
+    // Little-endian `[u32 len][u32 from][u64 sent_nanos]`: the casts below
+    // cut the three fields out of one 128-bit word.
+    let header = u128::from_le_bytes(header);
+    let len = header as u32 as usize;
+    if len > MAX_FRAME {
+        return Frame::Oversize;
+    }
+    payload.resize(len, 0);
+    if stream.read_exact(payload).is_err() {
+        return Frame::Closed;
+    }
+    Frame::Data((header >> 32) as u32, (header >> 64) as u64)
+}
+
+/// Reads frames off one accepted connection and forwards them into the
+/// node's command queue.  Every frame on the wire holds the in-flight token
+/// its sender took, so a rejected frame releases it here (and counts in
+/// `rspan_net_frames_rejected_total`) rather than stalling quiescence until
+/// its timeout.  An oversize header means the stream lost frame sync, so
+/// the connection closes; an undecodable payload is skipped.
+fn reader_loop<P>(
+    mut stream: TcpStream,
+    tx: Sender<NodeCmd<P>>,
+    inflight: Arc<InFlight>,
+    tel: TelemetryHandle,
+) where
     P: ProtocolNode,
     P::Msg: WireCodec,
 {
-    let mut header = [0u8; HEADER_BYTES];
+    let reject = || {
+        tel.incr(Counter::NetFramesRejected);
+        inflight.down();
+    };
     let mut payload = Vec::new();
     loop {
-        if stream.read_exact(&mut header).is_err() {
-            return; // EOF: peer closed (teardown) or connection reset
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let from = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let sent_nanos = u64::from_le_bytes(header[8..16].try_into().unwrap());
-        payload.resize(len, 0);
-        if stream.read_exact(&mut payload).is_err() {
-            return;
-        }
+        let (from, sent_nanos) = match read_frame(&mut stream, &mut payload) {
+            Frame::Data(from, sent_nanos) => (from, sent_nanos),
+            Frame::Oversize => return reject(),
+            Frame::Closed => return,
+        };
         let Some(msg) = P::Msg::decode(&payload) else {
-            debug_assert!(false, "malformed frame from {from}");
+            reject();
             continue;
         };
         if tx
@@ -218,6 +261,8 @@ where
     for (v, listener) in listeners.into_iter().enumerate() {
         let tx = senders[v].clone();
         let shutdown = Arc::clone(&shutdown);
+        let inflight = Arc::clone(&inflight);
+        let tel = tel.clone();
         accept_handles.push(
             std::thread::Builder::new()
                 .name(format!("rspan-acc-{v}"))
@@ -228,12 +273,14 @@ where
                             return;
                         }
                         let tx = tx.clone();
+                        let inflight = Arc::clone(&inflight);
+                        let tel = tel.clone();
                         // Readers exit on EOF when the peer's writer closes;
                         // they are not joined.
                         let _ = std::thread::Builder::new()
                             .name("rspan-rd".to_owned())
                             .stack_size(IO_STACK)
-                            .spawn(move || reader_loop::<P>(stream, tx));
+                            .spawn(move || reader_loop::<P>(stream, tx, inflight, tel));
                     }
                 })
                 .expect("spawn accept thread"),
@@ -287,4 +334,82 @@ where
     });
 
     Cluster::from_parts(senders, handles, inflight, clock, Some(teardown))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rspan_distributed::{RepairMsg, RepairNode};
+    use std::time::Instant;
+
+    /// A connected loopback pair `(client, server)`.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (client, listener.accept().unwrap().0)
+    }
+
+    /// A header from node 3 announcing `len` payload bytes.
+    fn header(len: u32) -> Vec<u8> {
+        [len.to_le_bytes(), 3u32.to_le_bytes(), [0; 4], [0; 4]].concat()
+    }
+
+    #[test]
+    fn oversize_header_is_rejected_before_any_allocation() {
+        let (mut client, mut server) = socket_pair();
+        // Its own thread: the frame at the cap outgrows the socket buffer.
+        let writer = std::thread::spawn(move || {
+            let at_cap = [header(MAX_FRAME as u32), vec![0; MAX_FRAME]].concat();
+            client
+                .write_all(&[header(u32::MAX), at_cap].concat())
+                .unwrap();
+        });
+        let mut payload = Vec::new();
+        assert_eq!(read_frame(&mut server, &mut payload), Frame::Oversize);
+        assert_eq!(payload.capacity(), 0, "allocated for an oversize header");
+        // A frame exactly at the cap still reads.
+        assert_eq!(read_frame(&mut server, &mut payload), Frame::Data(3, 0));
+        assert_eq!(payload.len(), MAX_FRAME);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn rejected_frames_release_their_tokens() {
+        let (mut client, server) = socket_pair();
+        let tel = TelemetryHandle::enabled();
+        let inflight = Arc::new(InFlight::new(tel.clone()));
+        let (tx, rx) = std::sync::mpsc::channel::<NodeCmd<RepairNode>>();
+        let reader = {
+            let (inflight, tel) = (Arc::clone(&inflight), tel.clone());
+            std::thread::spawn(move || reader_loop(server, tx, inflight, tel))
+        };
+        // An undecodable payload is skipped and the stream goes on; an
+        // oversize header closes it.  Each frame holds its sender's token.
+        let good = encode_frame(3, 0, &RepairMsg::LinkState(1, 3, vec![1, 2], 2));
+        for frame in [[header(4), vec![0xFF; 4]].concat(), good, header(u32::MAX)] {
+            inflight.up();
+            client.write_all(&frame).unwrap();
+        }
+        reader
+            .join()
+            .expect("the reader closes instead of reading 4 GiB");
+        assert!(
+            !matches!(client.read(&mut [0; 1]), Ok(1)),
+            "connection open"
+        );
+        let delivered: Vec<_> = rx.try_iter().collect();
+        assert!(matches!(
+            delivered.as_slice(),
+            [NodeCmd::Deliver { from: 3, .. }]
+        ));
+        inflight.down(); // the worker's release after handling the delivery
+        let rejected = tel.snapshot().unwrap().counter(Counter::NetFramesRejected);
+        assert_eq!(rejected, 2);
+        let start = Instant::now();
+        assert!(
+            inflight.wait_quiet(Duration::from_secs(30)),
+            "a token leaked"
+        );
+        assert!(start.elapsed() < Duration::from_secs(3));
+    }
 }

@@ -3,15 +3,14 @@
 //! Every layer of the workspace — the incremental engine, the delta router,
 //! the discrete-event simulator and the reliable-broadcast wrapper — can
 //! answer *how much* (stale rows, amplification factors, repaired rows) but
-//! not *which wave paid for it*.  This crate is the shared instrumentation
-//! seam that closes that gap:
+//! not *which wave paid for it*.  This crate is the deterministic event
+//! trace that closes that gap:
 //!
-//! * a [`Recorder`] trait with counter / histogram / phase primitives keyed
-//!   on **virtual time**, and a cheap [`ObsHandle`] that every layer can
-//!   clone and carry; the default handle is *off* and every instrumentation
-//!   site is behind an inlined [`ObsHandle::on`] check, so recorder-off runs
-//!   execute the exact pre-instrumentation code path with zero extra
-//!   allocations;
+//! * a cheap [`ObsHandle`] that every layer can clone and store, keyed on
+//!   **virtual time**; the default handle is *off* and every
+//!   instrumentation site is behind an inlined [`ObsHandle::on`] check, so
+//!   recorder-off runs execute the exact pre-instrumentation code path with
+//!   zero extra allocations;
 //! * a **wave-causality model**: the §2.3 repair floods already stamp every
 //!   frame with `(origin, epoch)`, surfaced here as [`WaveId`] inside a
 //!   [`FrameMeta`] that transports expose via `WireSize::meta()`.  The
@@ -20,27 +19,23 @@
 //! * a structured [`DropCause`] shared between the simulator's trace and the
 //!   protocol layers (`ProtocolNode::last_rx()`), so loss, crash, dedup,
 //!   MAC-reject and Byzantine suppression are distinguishable in one enum;
-//! * [`MemRecorder`], the reference recorder: an in-memory JSONL event log
+//! * an in-memory recorder behind every enabled handle: a JSONL event log
 //!   (one self-describing object per line, fields in a fixed order — same
 //!   seed and config reproduce a **byte-identical** trace) plus aggregated
 //!   [`Histogram`]s (per-event latency, per-wave delivery counts and bytes,
-//!   per-row staleness durations) and per-[`Phase`] wall-clock profiles.
+//!   per-row staleness durations), drained into an [`ObsReport`].
 //!
 //! ## Determinism contract
 //!
-//! Virtual-time payloads and wall-clock profiling are kept on **separate
-//! channels**: [`Recorder::event`] carries only deterministic values (virtual
-//! timestamps, counts, node and wave ids, byte sizes) and feeds the JSONL
-//! log, while [`Recorder::phase`] carries wall-clock nanoseconds and feeds
-//! only the aggregated [`ObsReport`] profile.  Nothing nondeterministic can
-//! reach the event log, which is what makes the byte-identical replay
-//! property testable.
+//! Events carry only deterministic values (virtual timestamps, counts, node
+//! and wave ids, byte sizes).  Wall-clock measurement lives in
+//! `rspan-telemetry` alone, so nothing nondeterministic can reach the event
+//! log, which is what makes the byte-identical replay property testable.
 
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Node identifier, mirrored from the graph substrate.
 pub type Node = rspan_graph::Node;
@@ -164,76 +159,6 @@ impl DropCause {
     }
 }
 
-/// A profiled pipeline phase.  Wall-clock timings for these flow through
-/// [`Recorder::phase`] only — never into the deterministic event log.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum Phase {
-    /// Engine: dirty-ball BFS marking around batch endpoints.
-    #[default]
-    Mark = 0,
-    /// Engine: retiring the trees of dirty nodes.
-    Retire,
-    /// Engine: recomputing trees for dirty nodes.
-    Rebuild,
-    /// Engine: installing the recomputed trees.
-    Install,
-    /// Engine: assembling the spanner delta.
-    Delta,
-    /// Engine: adjacency compaction.
-    Compact,
-    /// Router: the batched flip scan marking affected rows.
-    RepairSweep,
-    /// Router: refilling the marked rows.
-    RepairFill,
-    /// Compact router: rebuilding dirty ball-local rows.
-    BallRepair,
-    /// Compact router: re-electing landmarks and rebuilding dirty trees.
-    LandmarkRepair,
-    /// Compact router: on-demand full-row materialisation (accumulated on
-    /// the query path, flushed at the next commit).
-    Materialize,
-}
-
-/// Number of distinct [`Phase`] values (array-indexing bound).
-pub const PHASES: usize = 11;
-
-impl Phase {
-    /// Stable lowercase label used in report rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Mark => "mark",
-            Phase::Retire => "retire",
-            Phase::Rebuild => "rebuild",
-            Phase::Install => "install",
-            Phase::Delta => "delta",
-            Phase::Compact => "compact",
-            Phase::RepairSweep => "repair_sweep",
-            Phase::RepairFill => "repair_fill",
-            Phase::BallRepair => "ball_repair",
-            Phase::LandmarkRepair => "landmark_repair",
-            Phase::Materialize => "materialize",
-        }
-    }
-
-    /// All values, in `repr` order (for report assembly).
-    pub fn all() -> [Phase; PHASES] {
-        [
-            Phase::Mark,
-            Phase::Retire,
-            Phase::Rebuild,
-            Phase::Install,
-            Phase::Delta,
-            Phase::Compact,
-            Phase::RepairSweep,
-            Phase::RepairFill,
-            Phase::BallRepair,
-            Phase::LandmarkRepair,
-            Phase::Materialize,
-        ]
-    }
-}
-
 /// One observable occurrence, keyed on virtual time by the caller.  `Copy`
 /// with no owned data, so constructing one on the off path (which never
 /// happens — sites are guarded by [`ObsHandle::on`]) could not allocate
@@ -352,34 +277,13 @@ pub enum ObsEvent {
     },
 }
 
-/// The instrumentation sink.  Implementations must not feed wall-clock data
-/// into anything derived from [`Recorder::event`] — that channel is the
-/// deterministic one.
-pub trait Recorder {
-    /// Record one event at virtual time `t`.
-    fn event(&mut self, t: VTime, ev: &ObsEvent);
-
-    /// Record a profiled phase: `wall_ns` of wall-clock time spent over
-    /// `items` units of work.  Nondeterministic channel; aggregates only.
-    fn phase(&mut self, phase: Phase, wall_ns: u64, items: u64);
-
-    /// Drain this recorder into a structured report.
-    fn report(&mut self) -> ObsReport {
-        ObsReport::default()
-    }
-}
-
-struct ObsState {
-    now: VTime,
-    rec: Box<dyn Recorder>,
-}
-
-/// A cheap, cloneable handle to a shared [`Recorder`] — or nothing.
+/// A cheap, cloneable, **`Send`** handle to a shared in-memory recorder — or
+/// nothing.
 ///
 /// The default handle is **off**: [`ObsHandle::on`] returns `false`, every
-/// emit is a no-op behind a single branch, and no allocation or `RefCell`
-/// borrow occurs.  Layers store one handle (or take `&ObsHandle` per call)
-/// and guard any event-construction work with `if obs.on() { .. }`.
+/// emit is a no-op behind a single branch, and no allocation or lock occurs.
+/// Layers store one handle (`set_obs`, next to `set_telemetry`) and guard
+/// any event-construction work with `if obs.on() { .. }`.
 ///
 /// The handle also carries the **current virtual time**: the scheduler that
 /// owns the clock calls [`ObsHandle::set_now`] and every layer below emits
@@ -387,7 +291,7 @@ struct ObsState {
 /// signatures.
 #[derive(Clone, Default)]
 pub struct ObsHandle {
-    inner: Option<Rc<RefCell<ObsState>>>,
+    inner: Option<Arc<Mutex<MemRecorder>>>,
 }
 
 impl ObsHandle {
@@ -396,16 +300,15 @@ impl ObsHandle {
         ObsHandle { inner: None }
     }
 
-    /// Wraps an arbitrary recorder.
-    pub fn new(rec: Box<dyn Recorder>) -> Self {
-        ObsHandle {
-            inner: Some(Rc::new(RefCell::new(ObsState { now: 0, rec }))),
-        }
-    }
-
-    /// Wraps a fresh [`MemRecorder`] with the given configuration.
+    /// A handle over a fresh in-memory recorder with the given
+    /// configuration.
     pub fn mem(cfg: ObsConfig) -> Self {
-        Self::new(Box::new(MemRecorder::new(cfg)))
+        ObsHandle {
+            inner: Some(Arc::new(Mutex::new(MemRecorder {
+                cfg,
+                ..MemRecorder::default()
+            }))),
+        }
     }
 
     /// Whether a recorder is attached.  Inlined so the off path costs one
@@ -415,26 +318,28 @@ impl ObsHandle {
         self.inner.is_some()
     }
 
+    /// The locked recorder, or `None` when off.
+    #[inline]
+    fn rec(&self) -> Option<MutexGuard<'_, MemRecorder>> {
+        self.inner
+            .as_ref()
+            .map(|i| i.lock().expect("obs recorder poisoned"))
+    }
+
     /// Advances the shared virtual clock.  No-op when off.
     #[inline]
     pub fn set_now(&self, t: VTime) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().now = t;
+        if let Some(mut rec) = self.rec() {
+            rec.now = t;
         }
-    }
-
-    /// Current virtual time (0 when off).
-    pub fn now(&self) -> VTime {
-        self.inner.as_ref().map_or(0, |i| i.borrow().now)
     }
 
     /// Records an event at the shared clock's current time.  No-op when off.
     #[inline]
     pub fn emit(&self, ev: ObsEvent) {
-        if let Some(inner) = &self.inner {
-            let mut s = inner.borrow_mut();
-            let t = s.now;
-            s.rec.event(t, &ev);
+        if let Some(mut rec) = self.rec() {
+            let t = rec.now;
+            rec.event(t, &ev);
         }
     }
 
@@ -442,28 +347,19 @@ impl ObsHandle {
     /// shared clock so later [`ObsHandle::emit`] calls stay monotone).
     #[inline]
     pub fn emit_at(&self, t: VTime, ev: ObsEvent) {
-        if let Some(inner) = &self.inner {
-            let mut s = inner.borrow_mut();
-            s.now = t;
-            s.rec.event(t, &ev);
-        }
-    }
-
-    /// Records a profiled phase.  No-op when off.
-    #[inline]
-    pub fn phase(&self, phase: Phase, wall_ns: u64, items: u64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().rec.phase(phase, wall_ns, items);
+        if let Some(mut rec) = self.rec() {
+            rec.now = t;
+            rec.event(t, &ev);
         }
     }
 
     /// Drains the attached recorder into its report, if any.
     pub fn take_report(&self) -> Option<ObsReport> {
-        self.inner.as_ref().map(|i| i.borrow_mut().rec.report())
+        self.rec().map(|mut rec| rec.report())
     }
 }
 
-/// Configuration for [`MemRecorder`].
+/// Configuration for the recorder behind [`ObsHandle::mem`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Record the full JSONL event log.  Aggregated histograms are always
@@ -483,7 +379,7 @@ impl Default for ObsConfig {
 /// existing `rspan_obs::Histogram` user keeps compiling unchanged.
 pub use rspan_telemetry::{HistSummary, Histogram};
 
-/// Per-wave aggregate kept by [`MemRecorder`].
+/// Per-wave aggregate kept by the recorder.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct WaveStats {
     delivered: u64,
@@ -491,21 +387,8 @@ struct WaveStats {
     dropped: u64,
 }
 
-/// Per-phase aggregate row of an [`ObsReport`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PhaseRow {
-    /// The phase.
-    pub phase: Phase,
-    /// Number of profiled calls.
-    pub calls: u64,
-    /// Total wall-clock nanoseconds.
-    pub wall_ns: u64,
-    /// Total units of work processed.
-    pub items: u64,
-}
-
 /// Structured result of a recording run: the JSONL log plus deterministic
-/// aggregates and the (nondeterministic) phase profile.
+/// aggregates.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsReport {
     /// JSONL event lines, in emission order (empty when
@@ -537,8 +420,6 @@ pub struct ObsReport {
     pub commits: u64,
     /// Compact-router repairs observed.
     pub local_repairs: u64,
-    /// Wall-clock phase profile (phases with at least one call).
-    pub phases: Vec<PhaseRow>,
 }
 
 impl ObsReport {
@@ -556,7 +437,6 @@ impl ObsReport {
 
     /// Deterministic aggregates in the flat `"key": value` shape the
     /// session's `Metrics::json_fields` uses, for embedding in BENCH rows.
-    /// Phase wall-clock data is deliberately excluded.
     pub fn json_fields(&self) -> String {
         let lat = summary_fields(&self.latency, "obs_latency");
         let stale = self.stale_ticks_fields();
@@ -594,9 +474,13 @@ fn summary_fields(s: &HistSummary, prefix: &str) -> String {
     )
 }
 
-/// The reference [`Recorder`]: in-memory JSONL log plus aggregates.
-pub struct MemRecorder {
+/// The recorder behind an enabled [`ObsHandle`]: in-memory JSONL log plus
+/// aggregates.
+#[derive(Default)]
+struct MemRecorder {
     cfg: ObsConfig,
+    /// The shared virtual clock ([`ObsHandle::set_now`]).
+    now: VTime,
     lines: Vec<String>,
     delivered: u64,
     drops: [u64; DROP_CAUSES],
@@ -608,33 +492,9 @@ pub struct MemRecorder {
     commits: u64,
     local_repairs: u64,
     waves: BTreeMap<(u64, Node), WaveStats>,
-    phases: [PhaseRow; PHASES],
 }
 
 impl MemRecorder {
-    /// Creates an empty recorder.
-    pub fn new(cfg: ObsConfig) -> Self {
-        let mut phases = [PhaseRow::default(); PHASES];
-        for (row, p) in phases.iter_mut().zip(Phase::all()) {
-            row.phase = p;
-        }
-        MemRecorder {
-            cfg,
-            lines: Vec::new(),
-            delivered: 0,
-            drops: [0; DROP_CAUSES],
-            latency: Histogram::default(),
-            stale: Histogram::default(),
-            stale_censored: 0,
-            quorum_echoes: 0,
-            quorum_delivers: 0,
-            commits: 0,
-            local_repairs: 0,
-            waves: BTreeMap::new(),
-            phases,
-        }
-    }
-
     fn wave_entry(&mut self, wave: WaveId) -> &mut WaveStats {
         self.waves.entry((wave.epoch, wave.origin)).or_default()
     }
@@ -739,9 +599,7 @@ impl MemRecorder {
             ),
         }
     }
-}
 
-impl Recorder for MemRecorder {
     fn event(&mut self, t: VTime, ev: &ObsEvent) {
         if self.cfg.events {
             self.lines.push(Self::render(t, ev));
@@ -786,13 +644,6 @@ impl Recorder for MemRecorder {
         }
     }
 
-    fn phase(&mut self, phase: Phase, wall_ns: u64, items: u64) {
-        let row = &mut self.phases[phase as usize];
-        row.calls += 1;
-        row.wall_ns += wall_ns;
-        row.items += items;
-    }
-
     fn report(&mut self) -> ObsReport {
         let mut wave_deliveries = Histogram::default();
         let mut wave_bytes = Histogram::default();
@@ -820,12 +671,6 @@ impl Recorder for MemRecorder {
             quorum_delivers: self.quorum_delivers,
             commits: self.commits,
             local_repairs: self.local_repairs,
-            phases: self
-                .phases
-                .iter()
-                .copied()
-                .filter(|row| row.calls > 0)
-                .collect(),
         }
     }
 }
@@ -844,8 +689,6 @@ mod tests {
         assert!(!obs.on());
         obs.set_now(7);
         obs.emit(ObsEvent::WaveStart { wave: wave(1, 2) });
-        obs.phase(Phase::Rebuild, 100, 10);
-        assert_eq!(obs.now(), 0);
         assert!(obs.take_report().is_none());
     }
 
@@ -909,7 +752,6 @@ mod tests {
                 censored: false,
             },
         );
-        obs.phase(Phase::Rebuild, 1234, 10);
         let report = obs.take_report().expect("recorder attached");
         assert_eq!(report.lines.len(), 4);
         assert_eq!(
@@ -929,9 +771,6 @@ mod tests {
         assert_eq!(report.wave_bytes.max, 28);
         assert_eq!(report.stale_ticks.count, 1);
         assert_eq!(report.stale_ticks.p50, 3);
-        assert_eq!(report.phases.len(), 1);
-        assert_eq!(report.phases[0].phase, Phase::Rebuild);
-        assert_eq!(report.phases[0].wall_ns, 1234);
         // Every line parses as a flat JSON object (no nested quoting bugs).
         for line in &report.lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");

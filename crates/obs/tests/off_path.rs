@@ -3,7 +3,7 @@
 //! a counting global allocator (the same technique as the graph crate's
 //! pooled-kernel pin).
 
-use rspan_obs::{DropCause, FrameKind, FrameMeta, ObsEvent, ObsHandle, Phase, WaveId};
+use rspan_obs::{DropCause, FrameKind, FrameMeta, ObsEvent, ObsHandle, WaveId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -76,7 +76,6 @@ fn off_handle_never_allocates() {
             cause: DropCause::Loss,
             meta,
         });
-        obs.phase(Phase::Rebuild, t, t);
         let _ = obs.clone();
     }
     let after = allocations();

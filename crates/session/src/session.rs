@@ -505,7 +505,7 @@ impl SessionBuilder {
     }
 
     /// Attaches the deterministic observability recorder ([`ObsConfig`]):
-    /// engine commit phases, router repair attribution, per-frame
+    /// engine commit records, router repair attribution, per-frame
     /// deliver/drop events with wave-level causality, RB quorum progress
     /// and per-row staleness episodes all flow into one [`ObsReport`],
     /// retrieved via [`Session::finish_observed`].  Works under both
@@ -650,16 +650,19 @@ impl SessionBuilder {
         let tel = self.telemetry;
         let mut engine = RspanEngine::new(self.graph, tree_algo);
         engine.set_telemetry(tel.clone());
+        engine.set_obs(obs.clone());
         let router = match self.routing {
             Repair::None => RouterState::None,
             Repair::Delta => {
                 let mut router = Box::new(DeltaRouter::new(&engine));
                 router.set_telemetry(tel.clone());
+                router.set_obs(obs.clone());
                 RouterState::Delta(router)
             }
             Repair::Local(cfg) => {
                 let mut router = Box::new(CompactRouter::new(&engine, cfg));
                 router.set_telemetry(tel.clone());
+                router.set_obs(obs.clone());
                 RouterState::Local(router)
             }
         };
@@ -898,18 +901,18 @@ impl Session {
             self.obs.set_now(self.rounds as VTime);
         }
         let start = Instant::now();
-        let delta = self.engine.commit_observed(batch, self.threads, &self.obs);
+        let delta = self.engine.commit_parallel(batch, self.threads);
         let commit_ns = start.elapsed().as_nanos() as u64;
         let (repair, local_repair, repair_ns) = match &mut self.router {
             RouterState::None => (None, None, 0),
             RouterState::Delta(router) => {
                 let start = Instant::now();
-                let stats = router.apply_observed(&self.engine, batch, &delta, &self.obs);
+                let stats = router.apply(&self.engine, batch, &delta);
                 (Some(stats), None, start.elapsed().as_nanos() as u64)
             }
             RouterState::Local(router) => {
                 let start = Instant::now();
-                let stats = router.apply_observed(&self.engine, batch, &delta, &self.obs);
+                let stats = router.apply(&self.engine, batch, &delta);
                 (None, Some(stats), start.elapsed().as_nanos() as u64)
             }
         };
@@ -1027,12 +1030,12 @@ impl Session {
         let (repair, local_repair) = match router {
             RouterState::None => (None, None),
             RouterState::Delta(r) => (
-                Some(r.apply_observed(engine, &committed.batch, &committed.delta, obs)),
+                Some(r.apply(engine, &committed.batch, &committed.delta)),
                 None,
             ),
             RouterState::Local(r) => (
                 None,
-                Some(r.apply_observed(engine, &committed.batch, &committed.delta, obs)),
+                Some(r.apply(engine, &committed.batch, &committed.delta)),
             ),
         };
         self.absorb(
@@ -1093,8 +1096,8 @@ impl Session {
     /// Like [`Session::finish`], additionally handing back the
     /// [`ObsReport`] when [`SessionBuilder::observe`] was configured:
     /// aggregated histograms (per-wave deliveries/bytes, frame latencies,
-    /// staleness-episode durations), drop attribution, phase profiles, and
-    /// the deterministic JSONL event log ([`ObsReport::to_jsonl`]).
+    /// staleness-episode durations), drop attribution, and the
+    /// deterministic JSONL event log ([`ObsReport::to_jsonl`]).
     pub fn finish_observed(mut self) -> (Metrics, Option<ObsReport>) {
         self.drain();
         let metrics = self.metrics();

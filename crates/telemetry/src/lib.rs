@@ -1,11 +1,10 @@
 //! # rspan-telemetry — lock-free live telemetry for the concurrent era
 //!
-//! `rspan-obs` (PR 7) records *deterministic* traces keyed on virtual time,
-//! but its handle is an `Rc<RefCell<..>>`: it cannot cross the
-//! `std::thread::scope` workers of `commit_parallel`, and it deliberately
+//! `rspan-obs` records *deterministic* traces keyed on virtual time and
 //! keeps wall-clock data out of the replayable channel.  This crate is the
-//! complementary instrument: an always-on-capable, **`Sync`**, lock-free
-//! metrics runtime for wall-clock behaviour —
+//! workspace's only wall-clock instrument: an always-on-capable, **`Sync`**,
+//! lock-free metrics runtime whose spans work from inside the
+//! `std::thread::scope` workers of `commit_parallel` —
 //!
 //! * a static registry of **sharded atomic counters and gauges**: one
 //!   cache-line-padded shard per worker thread (round-robin thread→shard
@@ -177,10 +176,13 @@ pub enum Counter {
     NetBytesRecv,
     /// Real transport: TCP reconnect attempts after a writer error.
     NetReconnects,
+    /// Real transport: frames a TCP reader rejected (oversize or
+    /// undecodable).
+    NetFramesRejected,
 }
 
 /// Number of distinct [`Counter`] values (array-indexing bound).
-pub const COUNTERS: usize = 34;
+pub const COUNTERS: usize = 35;
 
 impl Counter {
     /// Stable snake_case label used in expositions (`rspan_<label>_total`).
@@ -220,6 +222,7 @@ impl Counter {
             Counter::NetBytesSent => "net_bytes_sent",
             Counter::NetBytesRecv => "net_bytes_recv",
             Counter::NetReconnects => "net_reconnects",
+            Counter::NetFramesRejected => "net_frames_rejected",
         }
     }
 
@@ -260,6 +263,7 @@ impl Counter {
             Counter::NetBytesSent => "Real-transport payload bytes sent",
             Counter::NetBytesRecv => "Real-transport payload bytes received",
             Counter::NetReconnects => "Real-transport TCP reconnects",
+            Counter::NetFramesRejected => "Real-transport frames rejected by a reader",
         }
     }
 
@@ -300,6 +304,7 @@ impl Counter {
             Counter::NetBytesSent,
             Counter::NetBytesRecv,
             Counter::NetReconnects,
+            Counter::NetFramesRejected,
         ]
     }
 }
@@ -350,9 +355,8 @@ impl Gauge {
     }
 }
 
-/// A profiled wall-clock span.  The first eleven mirror `rspan_obs::Phase`
-/// one-to-one (same order, same labels) so per-worker telemetry spans can be
-/// folded back into obs phase reports; `SimRun` covers the event loop.
+/// A profiled wall-clock span: the engine commit phases, the router repair
+/// phases and the simulator's event loop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Span {
@@ -809,8 +813,9 @@ impl TelemetryHandle {
         }
     }
 
-    /// Records an already-measured span (for call sites that time themselves,
-    /// e.g. to share one `Instant` with an obs phase).  No-op when off.
+    /// Records an already-measured span, for work timed piecewise and
+    /// flushed later (the compact router's query-path materialisation).
+    /// No-op when off.
     #[inline]
     pub fn span_record(&self, sp: Span, wall_ns: u64, items: u64) {
         if let Some(reg) = &self.inner {
@@ -1049,10 +1054,12 @@ fn push_field(out: &mut String, key: &str, v: u64) {
 // Exposition lint
 // ---------------------------------------------------------------------------
 
-/// Validates a Prometheus text exposition: metric-name syntax, HELP/TYPE
-/// headers preceding every family's first sample, numeric sample values,
-/// histogram bucket rows cumulative with increasing `le` ending in `+Inf`,
-/// and `_count` equal to the `+Inf` bucket.  Returns the first violation.
+/// Validates a Prometheus text exposition: metric-name syntax, a non-empty
+/// HELP text and a `counter`/`gauge`/`histogram` TYPE preceding every
+/// family's first sample, numeric (non-NaN) sample values, counter samples
+/// named `*_total` and non-negative, histogram bucket rows cumulative with
+/// increasing `le` ending in `+Inf`, and `_count` equal to the `+Inf`
+/// bucket.  Returns the first violation.
 pub fn lint_prometheus(text: &str) -> Result<(), String> {
     use std::collections::BTreeMap;
     let name_ok = |name: &str| {
@@ -1061,7 +1068,8 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
                 ch == '_' || ch.is_ascii_alphabetic() || (i > 0 && ch.is_ascii_digit())
             })
     };
-    let mut helped: BTreeMap<String, bool> = BTreeMap::new(); // name -> has TYPE
+    // Family name -> its TYPE, once declared.
+    let mut helped: BTreeMap<&str, Option<&str>> = BTreeMap::new();
     let mut hist_buckets: BTreeMap<String, Vec<(f64, u64)>> = BTreeMap::new();
     let mut hist_count: BTreeMap<String, u64> = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -1070,11 +1078,14 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("# HELP ") {
-            let name = rest.split_whitespace().next().unwrap_or("");
+            let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
             if !name_ok(name) {
                 return Err(format!("line {ln}: bad HELP metric name {name:?}"));
             }
-            helped.entry(name.to_string()).or_insert(false);
+            if help.trim().is_empty() {
+                return Err(format!("line {ln}: empty HELP text for {name:?}"));
+            }
+            helped.entry(name).or_insert(None);
             continue;
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
@@ -1084,13 +1095,10 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
             if !helped.contains_key(name) {
                 return Err(format!("line {ln}: TYPE before HELP for {name:?}"));
             }
-            if !matches!(
-                kind,
-                "counter" | "gauge" | "histogram" | "summary" | "untyped"
-            ) {
+            if !matches!(kind, "counter" | "gauge" | "histogram") {
                 return Err(format!("line {ln}: unknown TYPE {kind:?}"));
             }
-            helped.insert(name.to_string(), true);
+            helped.insert(name, Some(kind));
             continue;
         }
         if line.starts_with('#') {
@@ -1102,7 +1110,9 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
             .ok_or_else(|| format!("line {ln}: no sample value"))?;
         let value: f64 = value
             .parse()
-            .map_err(|_| format!("line {ln}: non-numeric value {value:?}"))?;
+            .ok()
+            .filter(|v: &f64| !v.is_nan())
+            .ok_or_else(|| format!("line {ln}: non-numeric value {value:?}"))?;
         let (name, labels) = match series.split_once('{') {
             Some((n, l)) => (
                 n,
@@ -1124,8 +1134,13 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
             .filter(|base| helped.contains_key(*base));
         let family = base.unwrap_or(name);
         match helped.get(family) {
-            Some(true) => {}
-            Some(false) => return Err(format!("line {ln}: {family:?} has HELP but no TYPE")),
+            Some(Some("counter")) if !name.ends_with("_total") || value < 0.0 => {
+                return Err(format!(
+                    "line {ln}: counter {name:?} must end in _total and be non-negative"
+                ))
+            }
+            Some(Some(_)) => {}
+            Some(None) => return Err(format!("line {ln}: {family:?} has HELP but no TYPE")),
             None => {
                 return Err(format!(
                     "line {ln}: sample for {family:?} without HELP/TYPE"
@@ -1297,6 +1312,10 @@ mod tests {
         let s = h.summary();
         assert_eq!((s.count, s.p50, s.p99, s.max), (100, 50, 99, 100));
         assert_eq!(Histogram::default().summary(), HistSummary::default());
+        let mut one = Histogram::default();
+        one.push(42);
+        let s = one.summary();
+        assert_eq!((s.p50, s.p99, s.max), (42, 42, 42));
     }
 
     #[test]
@@ -1338,6 +1357,21 @@ mod tests {
              h_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 4\nh_sum 9\nh_count 4\n"
         )
         .is_ok());
+    }
+
+    #[test]
+    fn lint_enforces_counter_conventions() {
+        let counter =
+            |name: &str, v: &str| format!("# HELP {name} h\n# TYPE {name} counter\n{name} {v}\n");
+        assert!(lint_prometheus(&counter("x_total", "0")).is_ok());
+        assert!(lint_prometheus(&counter("x", "1")).is_err()); // no _total suffix
+        assert!(lint_prometheus(&counter("x_total", "-1")).is_err()); // negative
+        assert!(lint_prometheus(&counter("x_total", "NaN")).is_err());
+        // Gauges may go negative; only counters are monotone.
+        assert!(lint_prometheus("# HELP g h\n# TYPE g gauge\ng -3\n").is_ok());
+        // Every family needs HELP text and one of the three rendered types.
+        assert!(lint_prometheus("# HELP g\n# TYPE g gauge\ng 1\n").is_err());
+        assert!(lint_prometheus("# HELP s h\n# TYPE s summary\ns 1\n").is_err());
     }
 
     #[test]
