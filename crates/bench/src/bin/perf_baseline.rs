@@ -1107,8 +1107,8 @@ fn byz_churn_workload(quick: bool, seed: u64, out_path: &str) {
 /// with the bit-identity check inline rather than on faith.
 ///
 /// The graphs are sparser than the simulator families (degree ≈ 6, not 12):
-/// the TCP backend spawns a writer and a reader thread per live direction,
-/// and bounding the per-row thread count keeps the n = 256 row comfortable.
+/// the TCP backend spawns a reader thread per live direction, and bounding
+/// the per-row thread count keeps the n = 256 row comfortable.
 ///
 /// Wall-clock keys (`wall_*`) and the physical frame/byte counts
 /// (`net_*`: relay counts under monotone acceptance depend on arrival

@@ -183,6 +183,8 @@ impl WireCodec for RepairMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn roundtrip<M: WireCodec + std::fmt::Debug>(msg: M) -> M {
         let mut buf = Vec::new();
@@ -241,5 +243,95 @@ mod tests {
         RemSpanMsg::Hello(1).encode(&mut buf);
         buf.push(0);
         assert!(RemSpanMsg::decode(&buf).is_none());
+    }
+
+    fn encoded(msg: &impl WireCodec) -> Vec<u8> {
+        let mut buf = Vec::new();
+        msg.encode(&mut buf);
+        buf
+    }
+
+    fn random_nodes(rng: &mut SmallRng) -> Vec<Node> {
+        (0..rng.gen_range(0usize..8))
+            .map(|_| rng.next_u64() as Node)
+            .collect()
+    }
+
+    fn random_edges(rng: &mut SmallRng) -> Vec<(Node, Node)> {
+        (0..rng.gen_range(0usize..8))
+            .map(|_| (rng.next_u64() as Node, rng.next_u64() as Node))
+            .collect()
+    }
+
+    fn random_remspan(rng: &mut SmallRng) -> RemSpanMsg {
+        let (origin, ttl) = (rng.next_u64() as Node, rng.next_u64() as u32);
+        match rng.gen_range(0u32..3) {
+            0 => RemSpanMsg::Hello(origin),
+            1 => RemSpanMsg::LinkState(origin, random_nodes(rng), ttl),
+            _ => RemSpanMsg::TreeAdvert(origin, random_edges(rng), ttl),
+        }
+    }
+
+    fn random_repair(rng: &mut SmallRng) -> RepairMsg {
+        let (epoch, origin, ttl) = (
+            rng.next_u64(),
+            rng.next_u64() as Node,
+            rng.next_u64() as u32,
+        );
+        match rng.gen_range(0u32..2) {
+            0 => RepairMsg::LinkState(epoch, origin, random_nodes(rng), ttl),
+            _ => RepairMsg::TreeAdvert(epoch, origin, random_edges(rng), ttl),
+        }
+    }
+
+    /// Decodes `bytes` as an `M` and, if that succeeds, checks that the
+    /// message re-encodes to exactly `bytes` at its accounted size.
+    fn accepts<M: WireCodec + std::fmt::Debug>(bytes: &[u8]) -> bool {
+        let Some(msg) = M::decode(bytes) else {
+            return false;
+        };
+        assert_eq!(encoded(&msg), bytes, "{msg:?} re-encodes differently");
+        assert_eq!(msg.wire_bytes(), bytes.len() as u64, "{msg:?}");
+        true
+    }
+
+    #[test]
+    fn decode_never_panics_and_inverts_encode_where_it_accepts() {
+        let mut rng = SmallRng::seed_from_u64(0xC0DEC);
+        let (mut remspan, mut repair) = (0, 0);
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0usize..=256);
+            let arbitrary: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let valid = if rng.gen_range(0u32..2) == 0 {
+                encoded(&random_remspan(&mut rng))
+            } else {
+                encoded(&random_repair(&mut rng))
+            };
+            let truncated = valid[..rng.gen_range(0..valid.len())].to_vec();
+            let mut flipped = valid.clone();
+            let bit = rng.gen_range(0..8 * valid.len());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // Every tag of both types, plus one neither uses.
+            let mut swapped = valid;
+            swapped[..4].copy_from_slice(&rng.gen_range(0u32..4).to_le_bytes());
+            for bytes in [arbitrary, truncated, flipped, swapped] {
+                remspan += usize::from(accepts::<RemSpanMsg>(&bytes));
+                repair += usize::from(accepts::<RepairMsg>(&bytes));
+            }
+        }
+        assert!(remspan > 0 && repair > 0, "a decoder accepted nothing");
+    }
+
+    #[test]
+    fn random_valid_messages_roundtrip() {
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        for _ in 0..5_000 {
+            let msg = random_remspan(&mut rng);
+            let back = roundtrip(msg.clone());
+            assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+            let msg = random_repair(&mut rng);
+            let back = roundtrip(msg.clone());
+            assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+        }
     }
 }

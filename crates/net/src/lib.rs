@@ -12,13 +12,14 @@
 //!   per-node timer wheel driving `on_timer`.
 //! * [`tcp`] — the TCP loopback backend: every node binds a listener on
 //!   `127.0.0.1`, frames are length-prefixed ([`codec::WireCodec`], byte
-//!   layouts exactly matching `WireSize::wire_bytes`), outbound frames go
-//!   through per-peer writer threads with bounded queues and
-//!   reconnect-on-error, inbound through an accept loop plus per-connection
-//!   framed reader threads.
+//!   layouts exactly matching `WireSize::wire_bytes`), each worker writes
+//!   its outbound frames itself on one `TCP_NODELAY` socket per peer with
+//!   reconnect-on-error, and inbound frames arrive through an accept loop
+//!   plus per-connection framed reader threads.
 //! * [`quiesce`] — message-quiescence detection: a process-wide in-flight
 //!   counter where every queued command, wire frame and pending timer holds
-//!   one token; zero ⟺ the cluster is quiescent.
+//!   one token; zero ⟺ the cluster is quiescent, and the release that
+//!   reaches zero wakes the waiting harness.
 //! * [`cluster`] — [`cluster::NetCluster`]: the loopback churn harness that
 //!   replays the same seeded engine commits the simulators use and runs the
 //!   §2.3 repair waves to quiescence on either backend, producing an end

@@ -1,7 +1,7 @@
 //! Message-quiescence detection for real transports.
 //!
-//! The whole cluster — node worker threads, TCP writer/reader threads and
-//! the controlling harness — lives in one process, so quiescence reduces to
+//! The whole cluster — node worker threads, TCP reader threads and the
+//! controlling harness — lives in one process, so quiescence reduces to
 //! one shared counter: every unit of pending work (a queued node command, a
 //! frame in flight on a channel or socket, an armed timer) holds exactly one
 //! token, acquired *before* the work becomes visible to any consumer and
@@ -10,9 +10,14 @@
 //! Under that discipline the counter reads zero **iff** no command is
 //! queued, none is being processed and no timer is pending — and zero is
 //! stable, so a single load suffices.
+//!
+//! Waiting costs no polling: the release that takes the counter from one to
+//! zero wakes every [`InFlight::wait_quiet`] caller through a condition
+//! variable.  `up` and every other `down` stay one atomic operation.
 
 use rspan_telemetry::{Gauge, TelemetryHandle};
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Shared in-flight work counter (see module docs for the token protocol).
@@ -20,6 +25,11 @@ use std::time::{Duration, Instant};
 /// which must therefore fold to zero at quiescence.
 pub struct InFlight {
     count: AtomicI64,
+    /// Held by a waiter between its check of `count` and its sleep, and by
+    /// the last release around its wake-up, so the wake-up cannot fall
+    /// between the two.
+    quiet_lock: Mutex<()>,
+    quiet: Condvar,
     tel: TelemetryHandle,
 }
 
@@ -28,6 +38,8 @@ impl InFlight {
     pub fn new(tel: TelemetryHandle) -> Self {
         InFlight {
             count: AtomicI64::new(0),
+            quiet_lock: Mutex::new(()),
+            quiet: Condvar::new(),
             tel,
         }
     }
@@ -39,12 +51,17 @@ impl InFlight {
         self.tel.gauge_add(Gauge::NetQueueDepth, 1);
     }
 
-    /// Releases one token — call after the work is fully processed.
+    /// Releases one token — call after the work is fully processed.  The
+    /// last release wakes the waiters.
     #[inline]
     pub fn down(&self) {
         let prev = self.count.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "in-flight counter went negative");
         self.tel.gauge_add(Gauge::NetQueueDepth, -1);
+        if prev == 1 {
+            let _guard = self.lock();
+            self.quiet.notify_all();
+        }
     }
 
     /// Current token count (diagnostic).
@@ -52,19 +69,32 @@ impl InFlight {
         self.count.load(Ordering::SeqCst)
     }
 
-    /// Blocks until the counter reads zero, polling with a short sleep.
+    /// Blocks until the counter reads zero, woken by the last release.
     /// Returns `false` if `timeout` elapses first.
     pub fn wait_quiet(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let mut guard = self.lock();
         loop {
             if self.count.load(Ordering::SeqCst) == 0 {
                 return true;
             }
-            if Instant::now() >= deadline {
-                return self.count.load(Ordering::SeqCst) == 0;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
             }
-            std::thread::sleep(Duration::from_micros(200));
+            guard = self
+                .quiet
+                .wait_timeout(guard, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
+    }
+
+    /// The lock guards no data, so a poisoned one is still good.
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.quiet_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -104,6 +134,36 @@ mod tests {
         assert!(!inflight.wait_quiet(Duration::from_millis(5)));
         inflight.down();
         assert!(inflight.wait_quiet(Duration::from_millis(5)));
+    }
+
+    #[test]
+    fn the_last_release_wakes_the_waiter() {
+        // Each cycle hands one token to a releaser thread and waits for it
+        // at once, so the release races the waiter's check.  A lost wake-up
+        // sleeps out the 30 s timeout and still reads zero at the end, so
+        // each wait is timed.
+        let inflight = Arc::new(InFlight::new(TelemetryHandle::off()));
+        let (hand_over, tokens) = std::sync::mpsc::channel::<()>();
+        let releaser = {
+            let inflight = Arc::clone(&inflight);
+            std::thread::spawn(move || {
+                for () in tokens {
+                    inflight.down();
+                }
+            })
+        };
+        for cycle in 0..10_000 {
+            inflight.up();
+            hand_over.send(()).unwrap();
+            let start = Instant::now();
+            assert!(inflight.wait_quiet(Duration::from_secs(30)));
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "cycle {cycle}: the wake-up was lost"
+            );
+        }
+        drop(hand_over);
+        releaser.join().unwrap();
     }
 
     #[test]

@@ -8,20 +8,26 @@
 //! * an **accept thread** that hands each inbound connection to a framed
 //!   **reader thread**, which decodes frames and forwards them into the
 //!   node's in-process command queue as `Deliver`s,
-//! * lazily-established outbound connections: the first send to a peer
-//!   connects and spawns a **writer thread** with a bounded queue; the
-//!   worker enqueues encoded frames and never blocks on the socket itself.
-//!   A writer that hits an I/O error reconnects (counted in
-//!   `rspan_net_reconnects_total`) and resends; a frame abandoned after
-//!   repeated failures releases its in-flight token so quiescence detection
-//!   stays sound.
+//! * lazily-established outbound connections, one per peer, with
+//!   `TCP_NODELAY` set: the worker encodes each frame into one reused
+//!   buffer and writes it to the socket itself.  A write or connect that
+//!   fails reconnects (counted in `rspan_net_reconnects_total`) and
+//!   resends after a doubling backoff; a frame abandoned after
+//!   `MAX_RECONNECTS` releases its in-flight token so quiescence detection
+//!   stays sound.  The backoff runs on the worker and holds the frame's
+//!   token the whole time, for at most 4 + 8 + 16 + 32 + 64 = 124 ms per
+//!   abandoned frame.
+//!
+//! A blocking write cannot deadlock the cluster: a reader blocks only on
+//! its own socket, because it forwards into the worker's unbounded queue,
+//! so every socket keeps draining while its receiving worker is busy.
 //!
 //! Frame format: `[u32 len][u32 from][u64 sent_nanos]` little-endian, then
 //! exactly `len` payload bytes — the [`WireCodec`] encoding whose length
 //! equals `WireSize::wire_bytes`.  `sent_nanos` is on the shared
 //! [`TickClock`] nanosecond base, giving the send-to-receive latency
 //! histogram without cross-machine clock agreement (loopback only).
-//! Readers reject oversize and undecodable frames (see `reader_loop`).
+//! Readers trust no header field (see `reader_loop`).
 
 use crate::clock::TickClock;
 use crate::codec::WireCodec;
@@ -30,23 +36,24 @@ use crate::worker::{Cluster, NodeCmd, Wire, Worker, WORKER_STACK};
 use rspan_distributed::ProtocolNode;
 use rspan_graph::Node;
 use rspan_telemetry::{Counter, TelemetryHandle};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Sender, SyncSender, TrySendError};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Stack size for I/O helper threads (accept / reader / writer): they hold
-/// a fixed buffer and shallow frames.
+/// Stack size for I/O helper threads (accept / reader): they hold a fixed
+/// buffer and shallow frames.
 const IO_STACK: usize = 128 * 1024;
-
-/// Bounded outbound queue depth per peer connection.
-const WRITER_QUEUE: usize = 1024;
 
 /// Reconnect attempts before a frame is abandoned.
 const MAX_RECONNECTS: u32 = 5;
+
+/// Pause after a failed `accept`, so a persistent error does not spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// Header: `[u32 len][u32 from][u64 sent_nanos]`.
 const HEADER_BYTES: usize = 16;
@@ -57,92 +64,78 @@ const HEADER_BYTES: usize = 16;
 /// header can no longer make a reader allocate up to 4 GiB.
 const MAX_FRAME: usize = 16 << 20;
 
-fn encode_frame<M: WireCodec>(from: Node, sent_nanos: u64, msg: &M) -> Vec<u8> {
+/// Encodes one frame into `buf`, replacing its contents.
+fn encode_frame<M: WireCodec>(buf: &mut Vec<u8>, from: Node, sent_nanos: u64, msg: &M) {
     let payload = msg.wire_bytes() as usize;
-    let mut buf = Vec::with_capacity(HEADER_BYTES + payload);
+    buf.clear();
     buf.extend_from_slice(&(payload as u32).to_le_bytes());
     buf.extend_from_slice(&from.to_le_bytes());
     buf.extend_from_slice(&sent_nanos.to_le_bytes());
-    msg.encode(&mut buf);
+    msg.encode(buf);
     debug_assert_eq!(buf.len(), HEADER_BYTES + payload);
-    buf
 }
 
-/// Outbound side: lazily-connected per-peer writer threads.
-struct TcpWire<P: ProtocolNode> {
-    me: Node,
+/// A fresh outbound connection with Nagle's algorithm off: a frame is a
+/// whole message, and the protocol waits on every one.
+fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Outbound side: one lazily connected socket per peer, written by the
+/// worker.
+struct TcpWire {
     addrs: Arc<Vec<SocketAddr>>,
-    writers: HashMap<Node, SyncSender<Vec<u8>>>,
+    streams: HashMap<Node, TcpStream>,
+    /// The frame being sent, reused across frames.
+    frame: Vec<u8>,
     inflight: Arc<InFlight>,
     tel: TelemetryHandle,
-    _marker: std::marker::PhantomData<fn() -> P>,
 }
 
-impl<P: ProtocolNode> TcpWire<P> {
-    fn writer_for(&mut self, to: Node) -> &SyncSender<Vec<u8>> {
-        let addr = self.addrs[to as usize];
-        let inflight = Arc::clone(&self.inflight);
-        let tel = self.tel.clone();
-        let me = self.me;
-        self.writers.entry(to).or_insert_with(|| {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<u8>>(WRITER_QUEUE);
-            std::thread::Builder::new()
-                .name(format!("rspan-wr-{me}-{to}"))
-                .stack_size(IO_STACK)
-                .spawn(move || {
-                    let mut stream = TcpStream::connect(addr).ok();
-                    while let Ok(buf) = rx.recv() {
-                        let mut attempts = 0;
-                        loop {
-                            let ok = match &mut stream {
-                                Some(s) => s.write_all(&buf).is_ok(),
-                                None => false,
-                            };
-                            if ok {
-                                break;
-                            }
-                            attempts += 1;
-                            if attempts > MAX_RECONNECTS {
-                                // Abandon the frame but keep the counter
-                                // sound: its token must not leak.
-                                inflight.down();
-                                break;
-                            }
-                            tel.incr(Counter::NetReconnects);
-                            std::thread::sleep(Duration::from_millis(2 << attempts));
-                            stream = TcpStream::connect(addr).ok();
-                        }
-                    }
-                    // Channel closed: worker stopped; the socket closes with
-                    // the thread, signalling EOF to the peer's reader.
-                })
-                .expect("spawn writer thread");
-            tx
-        })
+impl TcpWire {
+    fn new(addrs: Arc<Vec<SocketAddr>>, inflight: Arc<InFlight>, tel: TelemetryHandle) -> Self {
+        TcpWire {
+            addrs,
+            streams: HashMap::new(),
+            frame: Vec::new(),
+            inflight,
+            tel,
+        }
+    }
+
+    /// Writes the encoded frame to `to`, connecting first if needed.
+    fn write_frame(&mut self, to: Node) -> io::Result<()> {
+        let stream = match self.streams.entry(to) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(connect(self.addrs[to as usize])?),
+        };
+        stream.write_all(&self.frame)
     }
 }
 
-impl<P: ProtocolNode> Wire<P> for TcpWire<P>
+impl<P: ProtocolNode> Wire<P> for TcpWire
 where
     P::Msg: WireCodec,
 {
     fn post(&mut self, to: Node, from: Node, msg: &P::Msg, sent_nanos: u64) {
-        let buf = encode_frame(from, sent_nanos, msg);
-        let tx = self.writer_for(to);
-        match tx.try_send(buf) {
-            Ok(()) => {}
-            Err(TrySendError::Full(buf)) => {
-                // Bounded queue full: block until the writer drains (the
-                // backpressure path; the worker is allowed to block here).
-                if tx.send(buf).is_err() {
-                    self.inflight.down();
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // Writer thread died (exhausted reconnects and exited via
-                // channel close at teardown); release the frame's token.
+        encode_frame(&mut self.frame, from, sent_nanos, msg);
+        let mut attempts = 0;
+        while self.write_frame(to).is_err() {
+            // A half-written frame dies with its connection (the reader
+            // drops a truncated frame); the whole frame goes again on a
+            // fresh one.
+            self.streams.remove(&to);
+            attempts += 1;
+            if attempts > MAX_RECONNECTS {
+                // Abandon the frame but keep the counter sound: its token
+                // must not leak.
                 self.inflight.down();
+                return;
             }
+            self.tel.incr(Counter::NetReconnects);
+            std::thread::sleep(Duration::from_millis(2 << attempts));
         }
     }
 }
@@ -181,10 +174,14 @@ fn read_frame(stream: &mut impl Read, payload: &mut Vec<u8>) -> Frame {
 /// node's command queue.  Every frame on the wire holds the in-flight token
 /// its sender took, so a rejected frame releases it here (and counts in
 /// `rspan_net_frames_rejected_total`) rather than stalling quiescence until
-/// its timeout.  An oversize header means the stream lost frame sync, so
-/// the connection closes; an undecodable payload is skipped.
+/// its timeout.  An undecodable payload is skipped.  The connection closes
+/// on an oversize header, where the stream lost frame sync, and on a
+/// header whose `from` is no node of the `n`-node cluster or differs from
+/// the first frame's: a connection carries the frames of the one worker
+/// that opened it.
 fn reader_loop<P>(
     mut stream: TcpStream,
+    n: usize,
     tx: Sender<NodeCmd<P>>,
     inflight: Arc<InFlight>,
     tel: TelemetryHandle,
@@ -197,12 +194,16 @@ fn reader_loop<P>(
         inflight.down();
     };
     let mut payload = Vec::new();
+    let mut sender = None;
     loop {
         let (from, sent_nanos) = match read_frame(&mut stream, &mut payload) {
             Frame::Data(from, sent_nanos) => (from, sent_nanos),
             Frame::Oversize => return reject(),
             Frame::Closed => return,
         };
+        if from as usize >= n || *sender.get_or_insert(from) != from {
+            return reject();
+        }
         let Some(msg) = P::Msg::decode(&payload) else {
             reject();
             continue;
@@ -220,8 +221,29 @@ fn reader_loop<P>(
     }
 }
 
+/// Hands every connection `accept` yields to `serve` until `shutdown` is
+/// set.  A failed `accept` while the cluster runs is retried after
+/// [`ACCEPT_RETRY`], so one error cannot silently stop the node accepting.
+fn accept_loop(
+    mut accept: impl FnMut() -> io::Result<TcpStream>,
+    shutdown: &AtomicBool,
+    mut serve: impl FnMut(TcpStream),
+) {
+    loop {
+        let accepted = accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok(stream) => serve(stream),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
+        }
+    }
+}
+
 /// Spawns the TCP loopback backend: `n` node workers, each with a listener,
-/// accept thread and framed reader threads; frames cross real sockets.
+/// accept thread and framed reader threads; frames cross real sockets,
+/// which each worker writes itself.
 ///
 /// The returned [`Cluster`] is driven exactly like the threaded one —
 /// `inject`/`set_link` travel in-process (they are harness controls, not
@@ -268,20 +290,18 @@ where
                 .name(format!("rspan-acc-{v}"))
                 .stack_size(IO_STACK)
                 .spawn(move || {
-                    while let Ok((stream, _)) = listener.accept() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
+                    let accept = || listener.accept().map(|(stream, _)| stream);
+                    accept_loop(accept, &shutdown, |stream| {
                         let tx = tx.clone();
                         let inflight = Arc::clone(&inflight);
                         let tel = tel.clone();
-                        // Readers exit on EOF when the peer's writer closes;
-                        // they are not joined.
+                        // Readers exit on EOF when the peer's worker stops
+                        // and its sockets close; they are not joined.
                         let _ = std::thread::Builder::new()
                             .name("rspan-rd".to_owned())
                             .stack_size(IO_STACK)
-                            .spawn(move || reader_loop::<P>(stream, tx, inflight, tel));
-                    }
+                            .spawn(move || reader_loop::<P>(stream, n, tx, inflight, tel));
+                    });
                 })
                 .expect("spawn accept thread"),
         );
@@ -293,19 +313,11 @@ where
     for (v, rx) in receivers.into_iter().enumerate() {
         let mut nbrs = neighbors[v].clone();
         nbrs.sort_unstable();
-        let wire: TcpWire<P> = TcpWire {
-            me: v as Node,
-            addrs: Arc::clone(&addrs),
-            writers: HashMap::new(),
-            inflight: Arc::clone(&inflight),
-            tel: tel.clone(),
-            _marker: std::marker::PhantomData,
-        };
         let worker = Worker::new(
             v as Node,
             make_node(v as Node),
             rx,
-            wire,
+            TcpWire::new(Arc::clone(&addrs), Arc::clone(&inflight), tel.clone()),
             nbrs,
             Arc::clone(&clock),
             Arc::clone(&inflight),
@@ -340,7 +352,9 @@ where
 mod tests {
     use super::*;
     use rspan_distributed::{RepairMsg, RepairNode};
-    use std::time::Instant;
+
+    /// Cluster size the reader tests assume.
+    const N: usize = 4;
 
     /// A connected loopback pair `(client, server)`.
     fn socket_pair() -> (TcpStream, TcpStream) {
@@ -352,6 +366,56 @@ mod tests {
     /// A header from node 3 announcing `len` payload bytes.
     fn header(len: u32) -> Vec<u8> {
         [len.to_le_bytes(), 3u32.to_le_bytes(), [0; 4], [0; 4]].concat()
+    }
+
+    /// A well-formed frame from `from`.
+    fn good(from: Node) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_frame(
+            &mut buf,
+            from,
+            0,
+            &RepairMsg::LinkState(1, 3, vec![1, 2], 2),
+        );
+        buf
+    }
+
+    /// Feeds `frames` to the reader of an `N`-node cluster, each frame
+    /// holding one token, then a tokenless well-formed frame that only a
+    /// reader which failed to close would deliver.  Returns the senders of
+    /// the delivered frames, the count rejected and the tokens still held.
+    fn read_frames(frames: &[Vec<u8>]) -> (Vec<Node>, u64, i64) {
+        let (mut client, server) = socket_pair();
+        // A reader that fails to close ends here instead of hanging.
+        server
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let tel = TelemetryHandle::enabled();
+        let inflight = Arc::new(InFlight::new(tel.clone()));
+        let (tx, rx) = std::sync::mpsc::channel::<NodeCmd<RepairNode>>();
+        let reader = {
+            let (inflight, tel) = (Arc::clone(&inflight), tel.clone());
+            std::thread::spawn(move || reader_loop(server, N, tx, inflight, tel))
+        };
+        for frame in frames {
+            inflight.up();
+            client.write_all(frame).unwrap();
+        }
+        let _ = client.write_all(&good(3));
+        reader.join().unwrap();
+        assert!(
+            !matches!(client.read(&mut [0; 1]), Ok(1)),
+            "connection open"
+        );
+        let delivered = rx
+            .try_iter()
+            .map(|cmd| match cmd {
+                NodeCmd::Deliver { from, .. } => from,
+                _ => unreachable!("a reader only delivers"),
+            })
+            .collect();
+        let rejected = tel.snapshot().unwrap().counter(Counter::NetFramesRejected);
+        (delivered, rejected, inflight.pending())
     }
 
     #[test]
@@ -375,41 +439,88 @@ mod tests {
 
     #[test]
     fn rejected_frames_release_their_tokens() {
-        let (mut client, server) = socket_pair();
+        // An undecodable payload is skipped and the stream goes on; an
+        // oversize header closes it instead of reading 4 GiB.
+        let undecodable = [header(4), vec![0xFF; 4]].concat();
+        let (delivered, rejected, pending) = read_frames(&[undecodable, good(3), header(u32::MAX)]);
+        assert_eq!(delivered, [3]);
+        assert_eq!(rejected, 2);
+        // The delivered frame's token is the worker's to release.
+        assert_eq!(pending, 1, "a token leaked");
+    }
+
+    #[test]
+    fn forged_senders_are_rejected_and_close_the_connection() {
+        // A `from` past the cluster, first or later on a connection, and a
+        // `from` other than the connection's first.
+        let n = N as Node;
+        for (frames, expected) in [
+            (vec![good(n)], vec![]),
+            (vec![good(3), good(n)], vec![3]),
+            (vec![good(3), good(2)], vec![3]),
+        ] {
+            let (delivered, rejected, pending) = read_frames(&frames);
+            assert_eq!(delivered, expected);
+            assert_eq!(rejected, 1);
+            assert_eq!(pending, expected.len() as i64, "a token leaked");
+        }
+    }
+
+    #[test]
+    fn accept_errors_do_not_end_the_accept_loop() {
+        let (_client, server) = socket_pair();
+        let shutdown = AtomicBool::new(false);
+        let error = || Err(io::Error::from(io::ErrorKind::Other));
+        // Popped from the back: two errors, a connection, then shutdown.
+        let mut script = vec![Ok(server), error(), error()];
+        let mut served = 0;
+        let accept = || {
+            script.pop().unwrap_or_else(|| {
+                shutdown.store(true, Ordering::SeqCst);
+                error()
+            })
+        };
+        accept_loop(accept, &shutdown, |_| served += 1);
+        assert_eq!(served, 1);
+    }
+
+    /// A wire of node 1 whose node 0 listens at `addr`.
+    fn wire_to(addr: SocketAddr) -> (TcpWire, Arc<InFlight>, TelemetryHandle) {
         let tel = TelemetryHandle::enabled();
         let inflight = Arc::new(InFlight::new(tel.clone()));
-        let (tx, rx) = std::sync::mpsc::channel::<NodeCmd<RepairNode>>();
-        let reader = {
-            let (inflight, tel) = (Arc::clone(&inflight), tel.clone());
-            std::thread::spawn(move || reader_loop(server, tx, inflight, tel))
-        };
-        // An undecodable payload is skipped and the stream goes on; an
-        // oversize header closes it.  Each frame holds its sender's token.
-        let good = encode_frame(3, 0, &RepairMsg::LinkState(1, 3, vec![1, 2], 2));
-        for frame in [[header(4), vec![0xFF; 4]].concat(), good, header(u32::MAX)] {
-            inflight.up();
-            client.write_all(&frame).unwrap();
-        }
-        reader
-            .join()
-            .expect("the reader closes instead of reading 4 GiB");
-        assert!(
-            !matches!(client.read(&mut [0; 1]), Ok(1)),
-            "connection open"
-        );
-        let delivered: Vec<_> = rx.try_iter().collect();
-        assert!(matches!(
-            delivered.as_slice(),
-            [NodeCmd::Deliver { from: 3, .. }]
-        ));
-        inflight.down(); // the worker's release after handling the delivery
-        let rejected = tel.snapshot().unwrap().counter(Counter::NetFramesRejected);
-        assert_eq!(rejected, 2);
-        let start = Instant::now();
-        assert!(
-            inflight.wait_quiet(Duration::from_secs(30)),
-            "a token leaked"
-        );
-        assert!(start.elapsed() < Duration::from_secs(3));
+        let wire = TcpWire::new(Arc::new(vec![addr]), Arc::clone(&inflight), tel.clone());
+        (wire, inflight, tel)
+    }
+
+    /// Posts one token-holding frame from node 1 to node 0.
+    fn post(wire: &mut TcpWire, inflight: &InFlight) {
+        inflight.up();
+        let msg = RepairMsg::LinkState(1, 1, vec![0], 2);
+        Wire::<RepairNode>::post(wire, 0, 1, &msg, 7);
+    }
+
+    #[test]
+    fn workers_write_whole_frames_on_nodelay_sockets() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let (mut wire, inflight, _) = wire_to(listener.local_addr().unwrap());
+        post(&mut wire, &inflight);
+        assert_eq!(wire.streams[&0].nodelay().ok(), Some(true));
+        let (mut server, _) = listener.accept().unwrap();
+        let mut payload = Vec::new();
+        assert_eq!(read_frame(&mut server, &mut payload), Frame::Data(1, 7));
+        assert_eq!(inflight.pending(), 1, "a sent frame keeps its token");
+    }
+
+    #[test]
+    fn a_frame_nobody_accepts_is_abandoned_after_max_reconnects() {
+        let dead = TcpListener::bind(("127.0.0.1", 0))
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let (mut wire, inflight, tel) = wire_to(dead);
+        post(&mut wire, &inflight);
+        assert_eq!(inflight.pending(), 0, "the abandoned frame kept its token");
+        let reconnects = tel.snapshot().unwrap().counter(Counter::NetReconnects);
+        assert_eq!(reconnects, u64::from(MAX_RECONNECTS));
     }
 }

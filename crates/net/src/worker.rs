@@ -73,7 +73,8 @@ pub trait ProtocolHost<P: ProtocolNode> {
 
 /// Backend-specific frame delivery.  `post` is called by the worker after a
 /// callback returns, once per receiving peer, with the in-flight token for
-/// the frame already acquired.
+/// the frame already acquired.  It runs on the worker's thread and may
+/// block there (TCP writes the socket and backs off on errors).
 pub trait Wire<P: ProtocolNode>: Send {
     /// Delivers one frame to `to`'s inbound path.
     fn post(&mut self, to: Node, from: Node, msg: &P::Msg, sent_nanos: u64);

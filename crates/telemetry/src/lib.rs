@@ -174,10 +174,11 @@ pub enum Counter {
     NetBytesSent,
     /// Real transport: payload bytes delivered to protocol nodes.
     NetBytesRecv,
-    /// Real transport: TCP reconnect attempts after a writer error.
+    /// Real transport: TCP reconnect attempts after a worker's connect or
+    /// write to a peer failed.
     NetReconnects,
-    /// Real transport: frames a TCP reader rejected (oversize or
-    /// undecodable).
+    /// Real transport: frames a TCP reader rejected (oversize, undecodable
+    /// or with a forged sender).
     NetFramesRejected,
 }
 
