@@ -3,7 +3,14 @@
 //! Diffs freshly generated `BENCH_*.json` files against committed baselines
 //! and fails (exit 1) on any regression, so CI catches both *determinism*
 //! drift (a seeded figure changed without a baseline update) and *schema*
-//! drift (a row gained or lost a key) the moment they land.
+//! drift (a row gained or lost a key) the moment they land.  It is the one
+//! BENCH validator: CI runs the `perf_baseline` smokes, then this gate.
+//!
+//! The gate knows nothing about workload families.  Their invariants
+//! (agreement, stretch bound, end state equal to asim, counter relations)
+//! are asserted by `perf_baseline` before it writes a row, so a row that
+//! exists already passed them; the exact diff below then pins the header,
+//! the row count, every row's key set and every deterministic value.
 //!
 //! The comparison policy follows the split `perf_baseline` documents:
 //!
@@ -13,9 +20,11 @@
 //! * **Timing keys** — wall-clock figures (`wall_*`, `*_ns`, `*_ns_*`,
 //!   `*_ms`, `*_speedup`) are nondeterministic by nature.  Under `--quick`
 //!   (the CI mode, where machines vary wildly) they are checked for
-//!   presence and sanity only (finite, non-negative); otherwise they must
-//!   stay within a relative tolerance (default 0.5, i.e. ±50%) of the
-//!   baseline — the actual perf-regression tripwire for same-machine runs.
+//!   presence and sanity only (finite, non-negative — zero included, since
+//!   rows print `wall_ms` to 0.1 ms and a fast row can round down to it);
+//!   otherwise they must stay within a relative tolerance (default 0.5,
+//!   i.e. ±50%) of the baseline — the actual perf-regression tripwire for
+//!   same-machine runs.
 //! * **Environment keys** (`threads`) record the machine, not the
 //!   workload — presence and type only.
 //!

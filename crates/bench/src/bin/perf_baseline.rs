@@ -1,7 +1,8 @@
 //! Perf trajectory baselines: `BENCH_remspan.json`, `BENCH_engine.json`,
-//! `BENCH_routing.json`, `BENCH_async.json` and `BENCH_byz.json`.
+//! `BENCH_routing.json`, `BENCH_async.json`, `BENCH_byz.json` and
+//! `BENCH_net.json`.
 //!
-//! Five workloads, selectable from the command line:
+//! Six workloads, selectable from the command line:
 //!
 //! * **remspan** — `rem_span` (k-greedy strategy, k = 2) on constant-density
 //!   uniform unit-disk graphs, in three configurations: `seed_alloc` (the
@@ -17,25 +18,26 @@
 //!   The two timings are interleaved round by round, the spanners are
 //!   asserted identical every round, and the medians plus their ratio land
 //!   in the JSON.
-//! * **routing_churn** — the full batch → commit → delta → table-repair
-//!   pipeline under the same link-flap regime: per round, one engine commits
-//!   sequentially and one in parallel (deltas asserted identical, and a
-//!   forced multi-thread commit cross-checked on top), then the delta feeds a
-//!   long-lived `DeltaRouter` whose incremental repair is timed against a
-//!   from-scratch `RoutingTables::build` on the same round — with the
-//!   repaired tables asserted **bit-identical** to the full rebuild every
-//!   round.  Selecting `routing_churn` also runs the `route_local` family
-//!   below; both land in `BENCH_routing.json`.
-//! * **route_local** — compact routing (`Repair::Local`) under the same
-//!   link-flap regime: ball-local exact rows + landmark/tree forwarding +
-//!   the LRU row cache, repaired per commit.  Rows record per-node state
-//!   bytes against the dense `O(n)`-per-node tables, cache traffic from a
-//!   hot exact-query loop, and measured stretch percentiles against true
-//!   graph distances (asserted within [`STRETCH_BOUND`]); at `n ≤ 4000` the
-//!   cached exact rows are additionally asserted identical to a dense
-//!   `RoutingTables::build`.  The n = 100 000 row is the table-wall
-//!   headline: sublinear state where the dense build no longer fits the
-//!   benchmark budget.
+//! * **routing_churn** — two families in `BENCH_routing.json`, told apart by
+//!   the `workload` key:
+//!   * `routing_churn`, the full batch → commit → delta → table-repair
+//!     pipeline under the same link-flap regime: per round, one engine
+//!     commits sequentially and one in parallel (deltas asserted identical,
+//!     and a forced multi-thread commit cross-checked on top), then the
+//!     delta feeds a long-lived `DeltaRouter` whose incremental repair is
+//!     timed against a from-scratch `RoutingTables::build` on the same
+//!     round — with the repaired tables asserted **bit-identical** to the
+//!     full rebuild every round;
+//!   * `route_local`, compact routing (`Repair::Local`) under the same
+//!     regime: ball-local exact rows + landmark/tree forwarding + the LRU
+//!     row cache, repaired per commit.  Rows record per-node state bytes
+//!     against the dense `O(n)`-per-node tables, cache traffic from a hot
+//!     exact-query loop, and measured stretch percentiles against true
+//!     graph distances (asserted within [`STRETCH_BOUND`]); at `n ≤ 4000`
+//!     the cached exact rows are additionally asserted identical to a dense
+//!     `RoutingTables::build`.  The n = 100 000 row is the table-wall
+//!     headline: sublinear state where the dense build no longer fits the
+//!     benchmark budget.
 //! * **async_churn** — the `rspan-asim` event simulator driving §2.3 repair
 //!   waves under four scenario families: a **loss sweep** (link-flap churn,
 //!   Bernoulli loss with bounded retransmission), a **latency sweep** (UDG
@@ -54,16 +56,26 @@
 //!   echo-quorum rows must close every check and the plain rows record the
 //!   divergence, and convergence under the scheduler **adversary** models
 //!   (worst-case links, laggard node, wave splitting) vs the random baseline.
+//! * **net_cluster** — the same repair protocol on live OS threads and on
+//!   TCP loopback sockets (`rspan-net`), its wall-clock convergence against
+//!   the asim virtual-time prediction, with the end state asserted
+//!   bit-identical to asim's on every row.
 //!
 //! Every workload runs through the `rspan-session` façade (`Session` /
-//! `SpannerAlgo`), which is property-tested bit-identical to the hand-wired
-//! pipelines these baselines were first recorded on; rows are composed from
-//! `Metrics::json_fields()` plus the harness's own timing fields, so the
-//! session snapshot and the `BENCH_*.json` shape stay in lock-step.
+//! `SpannerAlgo`) or the `rspan-net` cluster harness, both property-tested
+//! bit-identical to the hand-wired pipelines these baselines were first
+//! recorded on; rows are composed from `Metrics::json_fields()` plus the
+//! harness's own timing fields, so the session snapshot and the
+//! `BENCH_*.json` shape stay in lock-step.
+//!
+//! Each family's invariants are `assert!`ed before its row is written
+//! (agreement, stretch bound, end state, counter relations), so a row that
+//! exists passed them and its `true` flags are literals.  `bench_gate` then
+//! diffs every deterministic key against the committed baselines.
 //!
 //! Usage:
-//!   `perf_baseline [remspan|engine_churn|routing_churn|route_local|
-//!                   async_churn|byz_churn|all]
+//!   `perf_baseline [remspan|engine_churn|routing_churn|async_churn|
+//!                   byz_churn|net_cluster|all]
 //!                  [--quick] [--seed N] [--json PATH] [--trace-out PATH]
 //!                  [--telemetry-out PATH]`
 //!
@@ -72,24 +84,24 @@
 //! line (default 3 — graphs draw from `seed`, churn scenarios from
 //! `seed + 4`, the event simulator from `seed + 9`; the defaults reproduce
 //! the recorded baselines exactly); `--json` overrides the output path and
-//! is only valid with a single workload; `--trace-out` (async_churn and
-//! route_local)
-//! additionally runs every row with the `rspan-obs` recorder on and writes
-//! the concatenated deterministic JSONL traces — each row prefixed with a
-//! `"kind": "run"` header naming its family and seed — to `PATH`.  Default
-//! paths: `BENCH_remspan.json` / `BENCH_engine.json` / `BENCH_routing.json`
-//! / `BENCH_async.json`.  `--telemetry-out` writes the final fold of the
-//! process-wide `rspan-telemetry` registry (every session this binary
-//! builds shares one enabled handle) as Prometheus text exposition — what a
-//! scrape endpoint would serve if this process were long-lived — and exits
-//! nonzero if `lint_prometheus` rejects it.
+//! is only valid with a single workload.  `--trace-out` (async_churn, and
+//! the route_local rows of routing_churn) additionally runs those rows with
+//! the `rspan-obs` recorder on and writes their deterministic JSONL traces
+//! to `PATH`, each under a `"kind": "run"` header naming its workload,
+//! family and seed; every run's trace must pass `rspan_obs::lint_trace`,
+//! or the binary exits 1 without writing the file.  Default JSON paths are
+//! the `BENCH_*.json` names above, in the working directory.
+//! `--telemetry-out` writes the final fold of the process-wide
+//! `rspan-telemetry` registry (every session this binary builds shares one
+//! enabled handle) as Prometheus text exposition — what a scrape endpoint
+//! would serve if this process were long-lived — and exits nonzero if
+//! `lint_prometheus` rejects it.
 //!
 //! Every row carries uniform run metadata — `workload`, `seed`, `wall_ms`,
 //! `threads` (the effective worker count of the row's timed commits) and
 //! `routing` (`none` / `delta` / `local`) — alongside its family-specific
-//! figures, so the CI validators can pin reproducibility info across all
-//! five BENCH files.  On top of that, every row stamps the phase wall-times
-//! the telemetry spans attribute to its slice of the run — `wall_commit_ms`
+//! figures.  On top of that, every row stamps the phase wall-times the
+//! telemetry spans attribute to its slice of the run — `wall_commit_ms`
 //! (engine commit phases), `wall_repair_ms` (router repair) and
 //! `wall_sim_ms` (the event-simulator loop) — folded as pre/post snapshot
 //! deltas of the shared registry.  Like `wall_ms`, these are wall-clock and
@@ -110,8 +122,8 @@ use rspan_graph::generators::udg::udg_with_density;
 use rspan_graph::{CsrGraph, Node};
 use rspan_net::{repair_end_state, NetBackend, NetChurnConfig, NetCluster};
 use rspan_session::{
-    Broadcast, LocalConfig, ObsConfig, Repair, Scheduler, Session, SpannerAlgo, TelemetryHandle,
-    TelemetrySnapshot,
+    Broadcast, LocalConfig, ObsConfig, ObsReport, Repair, Scheduler, Session, SpannerAlgo,
+    TelemetryHandle, TelemetrySnapshot,
 };
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -218,6 +230,31 @@ fn write_json(out_path: &str, bench: &str, unit: &str, rows: &[String]) {
     );
     std::fs::write(out_path, &json).expect("write baseline json");
     println!("wrote {out_path}");
+}
+
+/// Appends one observed run's JSONL to the `--trace-out` lines under a
+/// `run` header naming its workload, family and seed.  Exits 1, before any
+/// trace is written, if `lint_trace` rejects the run.
+fn push_run_trace(lines: &mut Vec<String>, workload: &str, family: &str, seed: u64, r: ObsReport) {
+    if let Err(violation) = rspan_obs::lint_trace(&r.to_jsonl()) {
+        eprintln!("{workload} {family} trace (seed {seed}) is malformed: {violation}");
+        std::process::exit(1);
+    }
+    lines.push(format!(
+        "{{\"t\":0,\"kind\":\"run\",\"workload\":\"{workload}\",\
+         \"family\":\"{family}\",\"seed\":{seed}}}"
+    ));
+    lines.extend(r.lines);
+}
+
+/// Writes the collected `--trace-out` lines, if any were asked for.
+fn write_trace(trace_out: Option<&str>, trace: Option<Vec<String>>) {
+    if let (Some(path), Some(lines)) = (trace_out, trace) {
+        let mut out = lines.join("\n");
+        out.push('\n');
+        std::fs::write(path, out).expect("write trace jsonl");
+        println!("wrote {path} ({} events)", lines.len());
+    }
 }
 
 fn remspan_workload(quick: bool, seed: u64, out_path: &str) {
@@ -589,6 +626,18 @@ fn route_local_rows(quick: bool, seed: u64, mut trace: Option<&mut Vec<String>>)
             local.stretch_p99
         );
         let dense_bytes_per_node = 12.0 * n as f64; // hop + dist + support
+        let state_fraction = local.state_bytes_per_node / dense_bytes_per_node;
+        assert!(
+            local.state_bytes > 0 && local.landmarks > 0,
+            "route_local n={n}: state_bytes {} and landmarks {} must be > 0",
+            local.state_bytes,
+            local.landmarks
+        );
+        // Sub-dense per-node state is the point of this family.
+        assert!(
+            state_fraction < 1.0,
+            "route_local n={n}: state_fraction_of_dense {state_fraction} must be < 1"
+        );
         let repair = median(repair_ns);
         let row = format!(
             "    {{\"workload\": \"route_local\", \"seed\": {seed}, \"wall_ms\": {:.1}, \
@@ -600,7 +649,7 @@ fn route_local_rows(quick: bool, seed: u64, mut trace: Option<&mut Vec<String>>)
             metrics.json_fields(),
             repair,
             dense_bytes_per_node,
-            local.state_bytes_per_node / dense_bytes_per_node,
+            state_fraction,
             if tables_match {
                 ", \"tables_match\": true"
             } else {
@@ -611,7 +660,7 @@ fn route_local_rows(quick: bool, seed: u64, mut trace: Option<&mut Vec<String>>)
             "n={n:>6}  state {:>7.0} B/node ({:>5.1}% of dense)  landmarks {:>4}  \
              repair {:>10.0} ns   cache hit {:>5.1}%   stretch p50 {:.2} p99 {:.2}",
             local.state_bytes_per_node,
-            100.0 * local.state_bytes_per_node / dense_bytes_per_node,
+            100.0 * state_fraction,
             local.landmarks,
             repair,
             100.0 * local.cache_hit_rate(),
@@ -619,14 +668,10 @@ fn route_local_rows(quick: bool, seed: u64, mut trace: Option<&mut Vec<String>>)
             local.stretch_p99,
         );
         rows.push(with_phase_fields(row, &pre));
-        if let Some(buf) = trace.as_deref_mut() {
+        if let Some(lines) = trace.as_deref_mut() {
             let (_, report) = session.finish_observed();
             let r = report.expect("observed session produces a report");
-            buf.push(format!(
-                "{{\"t\":0,\"kind\":\"run\",\"workload\":\"route_local\",\
-                 \"family\":\"local\",\"seed\":{seed}}}"
-            ));
-            buf.extend(r.lines.iter().cloned());
+            push_run_trace(lines, "route_local", "local", seed, r);
         }
     }
     rows
@@ -634,26 +679,15 @@ fn route_local_rows(quick: bool, seed: u64, mut trace: Option<&mut Vec<String>>)
 
 /// Writes `BENCH_routing.json`: the dense delta-repair family
 /// (`routing_churn`) plus the compact-routing family (`route_local`) in one
-/// file, distinguished row by row through the `workload` key.
-fn routing_workload(quick: bool, seed: u64, out_path: &str) {
-    let mut rows = routing_churn_rows(quick, seed);
-    rows.extend(route_local_rows(quick, seed, None));
-    write_json(out_path, "routing", "per_family_medians", &rows);
-}
-
-/// Writes only the `route_local` family (the CI smoke entry point); with
-/// `--trace-out`, also dumps the deterministic commit/local-repair JSONL
-/// trace the schema validator checks.
-fn route_local_workload(quick: bool, seed: u64, out_path: &str, trace_out: Option<&str>) {
+/// file, distinguished row by row through the `workload` key.  With
+/// `--trace-out`, the route_local rows also dump their deterministic
+/// commit/local-repair JSONL.
+fn routing_workload(quick: bool, seed: u64, out_path: &str, trace_out: Option<&str>) {
     let mut trace: Option<Vec<String>> = trace_out.map(|_| Vec::new());
-    let rows = route_local_rows(quick, seed, trace.as_mut());
+    let mut rows = routing_churn_rows(quick, seed);
+    rows.extend(route_local_rows(quick, seed, trace.as_mut()));
     write_json(out_path, "routing", "per_family_medians", &rows);
-    if let (Some(path), Some(lines)) = (trace_out, &trace) {
-        let mut out = lines.join("\n");
-        out.push('\n');
-        std::fs::write(path, out).expect("write trace jsonl");
-        println!("wrote {path} ({} events)", lines.len());
-    }
+    write_trace(trace_out, trace);
 }
 
 /// Per-family knobs of one async row beyond the simulator config.
@@ -713,11 +747,43 @@ fn async_row<S: ChurnScenario + 'static>(
     );
     let s = &asim.stats;
     let dropped = s.dropped_loss + s.dropped_down + s.dropped_no_link;
+    assert!(
+        s.delivered + dropped <= s.transmissions,
+        "async {family} row: delivered {} + dropped {dropped} > transmissions {}",
+        s.delivered,
+        s.transmissions
+    );
+    assert!(
+        asim.converged_rounds() <= metrics.rounds,
+        "async {family} row: converged_rounds {} > rounds {}",
+        asim.converged_rounds(),
+        metrics.rounds
+    );
     let events = s.events.max(1);
     // Staleness rows carry the per-row stale-duration histogram (how many
     // virtual ticks each routing row stayed stale before repair caught up).
     let stale_hist = match (&report, row_cfg.staleness) {
-        (Some(r), true) => format!(", {}", r.stale_ticks_fields()),
+        (Some(r), true) => {
+            let st = metrics.staleness.as_ref().expect("staleness measured");
+            let h = &r.stale_ticks;
+            assert!(
+                st.inflight_checks <= st.checks && st.stale_rows_max <= metrics.n,
+                "async staleness row: inflight_checks {} <= checks {} and \
+                 stale_rows_max {} <= n {} must hold",
+                st.inflight_checks,
+                st.checks,
+                st.stale_rows_max,
+                metrics.n
+            );
+            assert!(
+                h.p50 <= h.p99 && h.p99 <= h.max,
+                "async staleness row: stale ticks p50 {} <= p99 {} <= max {} must hold",
+                h.p50,
+                h.p99,
+                h.max
+            );
+            format!(", {}", r.stale_ticks_fields())
+        }
         _ => String::new(),
     };
     // The async scheduler always commits sequentially (validated at build).
@@ -731,13 +797,9 @@ fn async_row<S: ChurnScenario + 'static>(
         wall_ns / events as f64,
     );
     let row = with_phase_fields(row, &pre);
-    if let Some(buf) = trace {
+    if let Some(lines) = trace {
         let r = report.expect("observed session produces a report");
-        buf.push(format!(
-            "{{\"t\":0,\"kind\":\"run\",\"workload\":\"async_churn\",\
-             \"family\":\"{family}\",\"seed\":{seed}}}"
-        ));
-        buf.extend(r.lines.iter().cloned());
+        push_run_trace(lines, "async_churn", family, seed, r);
     }
     println!(
         "{family:>9}  {:<20} loss {:.2} crash {:.2}  conv {:>2}/{:<2} ({:>5.1} ticks)  \
@@ -890,12 +952,7 @@ fn async_churn_workload(quick: bool, seed: u64, out_path: &str, trace_out: Optio
     }
 
     write_json(out_path, "async_churn", "per_run_totals", &rows);
-    if let (Some(path), Some(lines)) = (trace_out, &trace) {
-        let mut out = lines.join("\n");
-        out.push('\n');
-        std::fs::write(path, out).expect("write trace jsonl");
-        println!("wrote {path} ({} events)", lines.len());
-    }
+    write_trace(trace_out, trace);
 }
 
 /// Per-row knobs of one Byzantine-churn configuration.
@@ -1058,9 +1115,24 @@ fn byz_churn_workload(quick: bool, seed: u64, out_path: &str) {
         );
         let byz = metrics.byz.as_ref().expect("byz section present");
         if matches!(broadcast, Broadcast::Reliable { .. }) {
+            // Echo quorums close every honest-agreement check while the MAC
+            // layer visibly rejects the injected tampering.
             assert!(
                 byz.agreement_ok(),
                 "echo quorums must preserve honest agreement"
+            );
+            assert!(
+                byz.rejected_mac > 0 && byz.rb_delivered > 0,
+                "reliable agreement row: rb_rejected_mac {} and rb_delivered {} must be > 0",
+                byz.rejected_mac,
+                byz.rb_delivered
+            );
+        } else {
+            // Unauthenticated flooding loses honest agreement under the
+            // same fault plan.
+            assert!(
+                byz.agreement_violations > 0,
+                "plain agreement row: agreement_violations must be > 0"
             );
         }
         rows.push(row);
@@ -1174,6 +1246,13 @@ fn net_cluster_workload(quick: bool, seed: u64, out_path: &str) {
             let post = tel_snapshot();
             let d = |c| post.counter(c).saturating_sub(pre.counter(c));
             use rspan_telemetry::Counter;
+            assert!(
+                d(Counter::NetFramesSent) > 0 && d(Counter::NetFramesRecv) > 0,
+                "net row (n={n}, {backend:?}): net_frames_sent {} and net_frames_recv {} \
+                 must be > 0",
+                d(Counter::NetFramesSent),
+                d(Counter::NetFramesRecv)
+            );
             let row = format!(
                 "    {{\"workload\": \"net_cluster\", \"seed\": {seed}, \"wall_ms\": {:.1}, \
                  \"threads\": {n}, \"routing\": \"none\", \
@@ -1205,7 +1284,6 @@ enum Workload {
     Remspan,
     EngineChurn,
     RoutingChurn,
-    RouteLocal,
     AsyncChurn,
     ByzChurn,
     NetCluster,
@@ -1214,8 +1292,8 @@ enum Workload {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: perf_baseline [remspan|engine_churn|routing_churn|route_local|async_churn|\
-         byz_churn|net_cluster|all] [--quick] [--seed N] [--json PATH] [--trace-out PATH] \
+        "usage: perf_baseline [remspan|engine_churn|routing_churn|async_churn|byz_churn|\
+         net_cluster|all] [--quick] [--seed N] [--json PATH] [--trace-out PATH] \
          [--telemetry-out PATH]"
     );
     std::process::exit(2);
@@ -1234,7 +1312,6 @@ fn main() {
             "remspan" => workload = Workload::Remspan,
             "engine_churn" => workload = Workload::EngineChurn,
             "routing_churn" => workload = Workload::RoutingChurn,
-            "route_local" => workload = Workload::RouteLocal,
             "async_churn" => workload = Workload::AsyncChurn,
             "byz_churn" => workload = Workload::ByzChurn,
             "net_cluster" => workload = Workload::NetCluster,
@@ -1255,12 +1332,12 @@ fn main() {
     if json.is_some() && workload == Workload::All {
         eprintln!(
             "--json requires a single workload (remspan, engine_churn, routing_churn, \
-             route_local, async_churn, byz_churn or net_cluster)"
+             async_churn, byz_churn or net_cluster)"
         );
         std::process::exit(2);
     }
-    if trace_out.is_some() && !matches!(workload, Workload::AsyncChurn | Workload::RouteLocal) {
-        eprintln!("--trace-out requires the async_churn or route_local workload");
+    if trace_out.is_some() && !matches!(workload, Workload::AsyncChurn | Workload::RoutingChurn) {
+        eprintln!("--trace-out requires the async_churn or routing_churn workload");
         std::process::exit(2);
     }
     match workload {
@@ -1270,10 +1347,7 @@ fn main() {
         Workload::EngineChurn => {
             engine_churn_workload(quick, seed, json.as_deref().unwrap_or("BENCH_engine.json"))
         }
-        Workload::RoutingChurn => {
-            routing_workload(quick, seed, json.as_deref().unwrap_or("BENCH_routing.json"))
-        }
-        Workload::RouteLocal => route_local_workload(
+        Workload::RoutingChurn => routing_workload(
             quick,
             seed,
             json.as_deref().unwrap_or("BENCH_routing.json"),
@@ -1294,7 +1368,7 @@ fn main() {
         Workload::All => {
             remspan_workload(quick, seed, "BENCH_remspan.json");
             engine_churn_workload(quick, seed, "BENCH_engine.json");
-            routing_workload(quick, seed, "BENCH_routing.json");
+            routing_workload(quick, seed, "BENCH_routing.json", None);
             async_churn_workload(quick, seed, "BENCH_async.json", None);
             byz_churn_workload(quick, seed, "BENCH_byz.json");
             net_cluster_workload(quick, seed, "BENCH_net.json");

@@ -7,19 +7,16 @@
 //! need to recompute their dominating trees.
 //!
 //! The incremental recomputation itself lives in [`rspan_engine`]: the
-//! simulator and the engine share that one code path.  The session forms are
-//! the real API for churn streams — [`restabilise_with`] commits against a
-//! caller-held engine, and [`ChurnSession`] bundles an engine with a
-//! [`crate::delta::DeltaRouter`] so one handle carries the whole
-//! batch → commit → delta → table-repair pipeline across rounds.  The
+//! simulator and the engine share that one code path.  A churn stream is
+//! committed straight to a caller-held [`rspan_engine::RspanEngine`]
+//! (`commit` / `commit_parallel`), whose [`rspan_engine::SpannerDelta`]
+//! feeds a [`crate::delta::DeltaRouter`]; the `rspan-session` crate's
+//! `Session` (sync scheduler, `Repair::Delta`) bundles the two.  The
 //! one-shot [`apply_change`] convenience ([`TopologyChange`] is re-exported
-//! from the engine) remains as a thin wrapper, but it materialises a fresh
-//! CSR per call by design: never loop over it on a hot path.
+//! from the engine) materialises a fresh CSR per call by design: never loop
+//! over it on a hot path.
 
-use crate::delta::{DeltaRouter, RepairStats};
-use crate::protocol::TreeStrategy;
 pub use rspan_engine::TopologyChange;
-use rspan_engine::{RspanEngine, SpannerDelta};
 use rspan_graph::{CsrGraph, DynamicGraph};
 
 /// Applies a change to a graph, returning the new graph.
@@ -36,83 +33,12 @@ pub fn apply_change(graph: &CsrGraph, change: TopologyChange) -> CsrGraph {
     overlay.into_csr()
 }
 
-/// Restabilises the spanner of a *caller-held* engine after one change: the
-/// session form every churn loop should use.  The engine keeps its topology
-/// overlay, cached trees, and scratch pools across calls, so a stream of
-/// changes pays only dirty-ball work — no per-change engine construction,
-/// no initial full build.
-///
-/// Returns the engine's [`SpannerDelta`] (which also lists the recomputed
-/// nodes).  Batched callers can pass several changes at once straight to
-/// [`RspanEngine::commit`]; this wrapper exists for the established
-/// one-change-at-a-time dynamics API.
-pub fn restabilise_with(engine: &mut RspanEngine, change: TopologyChange) -> SpannerDelta {
-    engine.commit(&[change])
-}
-
-/// One caller-held engine + router pair that a whole churn stream flows
-/// through: the end-to-end **batch → commit → delta → table-repair**
-/// pipeline as a single handle.
-///
-/// Each [`ChurnSession::step`] absorbs one round's batch into the engine
-/// (optionally sharding the dirty-tree rebuild across threads) and feeds the
-/// emitted [`SpannerDelta`] to the owned [`DeltaRouter`], so both the spanner
-/// and the next-hop tables stay current at incremental cost — nothing is
-/// rebuilt per change.
-///
-/// This is the minimal non-facade bundle.  The `rspan-session` crate's
-/// `Session` builder fronts the same pipeline (plus scenario ownership,
-/// scheduler choice and a uniform metrics snapshot) and is pinned
-/// bit-identical to stepping a `ChurnSession` by hand — prefer it unless you
-/// need to own the pieces directly.
-pub struct ChurnSession {
-    engine: RspanEngine,
-    router: DeltaRouter,
-    threads: usize,
-}
-
-impl ChurnSession {
-    /// Builds the session over an initial topology: one full spanner build
-    /// plus one full table build (sequential commits thereafter).
-    pub fn new(graph: CsrGraph, strategy: TreeStrategy) -> Self {
-        Self::with_threads(graph, strategy, 1)
-    }
-
-    /// Like [`ChurnSession::new`] with commits sharded across `threads`
-    /// rebuild workers (0 = available parallelism).
-    pub fn with_threads(graph: CsrGraph, strategy: TreeStrategy, threads: usize) -> Self {
-        let engine = RspanEngine::new(graph, strategy.algo());
-        let router = DeltaRouter::new(&engine);
-        ChurnSession {
-            engine,
-            router,
-            threads,
-        }
-    }
-
-    /// Absorbs one round's batch of changes: commits it to the engine and
-    /// repairs the routing tables from the emitted delta.
-    pub fn step(&mut self, batch: &[TopologyChange]) -> (SpannerDelta, RepairStats) {
-        let delta = self.engine.commit_parallel(batch, self.threads);
-        let stats = self.router.apply(&self.engine, batch, &delta);
-        (delta, stats)
-    }
-
-    /// The owned engine (topology + spanner state).
-    pub fn engine(&self) -> &RspanEngine {
-        &self.engine
-    }
-
-    /// The owned router (incrementally repaired next-hop tables).
-    pub fn router(&self) -> &DeltaRouter {
-        &self.router
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::TreeStrategy;
     use rspan_core::{rem_span, verify_remote_stretch, StretchGuarantee};
+    use rspan_engine::RspanEngine;
     use rspan_graph::generators::er::gnp_connected;
     use rspan_graph::generators::structured::{cycle_graph, grid_graph};
     use rspan_graph::generators::udg::uniform_udg;
@@ -172,7 +98,7 @@ mod tests {
             ] {
                 let g2 = apply_change(&g, change);
                 let mut engine = RspanEngine::new(g.clone(), strategy.algo());
-                restabilise_with(&mut engine, change);
+                engine.commit(&[change]);
                 let incremental = engine.spanner_on(&g2);
                 let full = rem_span(&g2, |g, u| strategy.build_tree(g, u));
                 assert_eq!(
@@ -193,7 +119,7 @@ mod tests {
         let change = TopologyChange::RemoveEdge(eu, ev);
         let strategy = TreeStrategy::KGreedy { k: 2 };
         let mut engine = RspanEngine::new(g.clone(), strategy.algo());
-        let delta = restabilise_with(&mut engine, change);
+        let delta = engine.commit(&[change]);
         let fraction = delta.recomputed_fraction(g.n());
         assert!(
             fraction < 0.25,
@@ -211,7 +137,7 @@ mod tests {
         let g2 = apply_change(&g, change);
         let strategy = TreeStrategy::Mis { r: 3 };
         let mut engine = RspanEngine::new(g.clone(), strategy.algo());
-        restabilise_with(&mut engine, change);
+        engine.commit(&[change]);
         let full = rem_span(&g2, |g, u| strategy.build_tree(g, u));
         assert_eq!(engine.spanner_on(&g2).edge_set(), full.edge_set());
     }

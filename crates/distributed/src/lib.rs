@@ -27,8 +27,7 @@
 //!   materialised rows), same delta-driven repair pipeline,
 //! * [`dynamics`] — topology changes and local restabilisation, rewired on
 //!   top of the incremental `rspan-engine` so the simulator and the engine
-//!   share one dirty-ball recomputation code path; [`ChurnSession`] bundles
-//!   one caller-held engine + router for whole churn streams,
+//!   share one dirty-ball recomputation code path,
 //! * [`rb`] — Byzantine tolerance: the [`rb::RbNode`] reliable-broadcast
 //!   wrapper delivers repair waves to the inner node only after an
 //!   authenticated echo quorum, so up to `f` forging / equivocating /
@@ -48,7 +47,7 @@ pub mod transport;
 
 pub use compact::{CacheStats, CompactRouter, LocalConfig, LocalRepairStats};
 pub use delta::{DeltaRouter, RepairStats};
-pub use dynamics::{apply_change, restabilise_with, ChurnSession, TopologyChange};
+pub use dynamics::{apply_change, TopologyChange};
 pub use protocol::{
     restabilise_flood, run_remspan_protocol, DistributedRun, IncrementalRun, RemSpanMsg,
     RemSpanNode, RepairMsg, RepairNode, TreeStrategy, WaveNode,

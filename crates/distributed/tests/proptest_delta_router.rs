@@ -8,7 +8,7 @@
 //! current spanner.  The affected-row analysis may never change a route,
 //! only skip provably-unchanged rows.
 
-use rspan_distributed::{ChurnSession, DeltaRouter, RoutingTables, TreeStrategy};
+use rspan_distributed::{DeltaRouter, RoutingTables, TreeStrategy};
 use rspan_engine::{
     ChurnScenario, JoinLeaveScenario, LinkFlapScenario, MobilityScenario, RspanEngine,
 };
@@ -107,18 +107,16 @@ fn repaired_tables_stay_bit_identical_under_interleaved_churn() {
 fn churn_session_carries_engine_and_router_through_rounds() {
     let inst = uniform_udg(80, 5.0, 1.0, 33);
     let strategy = TreeStrategy::KGreedy { k: 2 };
-    let mut session = ChurnSession::with_threads(inst.graph.clone(), strategy, 4);
+    let mut engine = RspanEngine::new(inst.graph.clone(), strategy.algo());
+    let mut router = DeltaRouter::new(&engine);
     let mut flap = LinkFlapScenario::new(&inst.graph, 4.0, 7);
     for round in 0..6 {
-        let batch = flap.next_batch(session.engine().graph());
-        let (delta, stats) = session.step(&batch);
+        let batch = flap.next_batch(engine.graph());
+        let delta = engine.commit_parallel(&batch, 4);
+        let stats = router.apply(&engine, &batch, &delta);
         assert_eq!(delta.epoch, round + 1);
-        assert_eq!(stats.epoch, session.router().epoch());
+        assert_eq!(stats.epoch, router.epoch());
         assert_eq!(stats.batch_changes, batch.len());
-        assert_router_matches_full_build(
-            session.router(),
-            session.engine(),
-            &format!("session round {round}"),
-        );
+        assert_router_matches_full_build(&router, &engine, &format!("session round {round}"));
     }
 }

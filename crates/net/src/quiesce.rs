@@ -14,9 +14,16 @@
 //! Waiting costs no polling: the release that takes the counter from one to
 //! zero wakes every [`InFlight::wait_quiet`] caller through a condition
 //! variable.  `up` and every other `down` stay one atomic operation.
+//!
+//! A token can also be lost for good: a TCP reader that closes its
+//! connection on a rejected header never reads the frames its sender wrote
+//! behind it, and nobody else can release their tokens.  The reader then
+//! calls [`InFlight::lose_tokens`], which wakes the waiters, and every wait
+//! that finds tokens held fails at once instead of sleeping out its
+//! timeout.
 
 use rspan_telemetry::{Gauge, TelemetryHandle};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -25,6 +32,8 @@ use std::time::{Duration, Instant};
 /// which must therefore fold to zero at quiescence.
 pub struct InFlight {
     count: AtomicI64,
+    /// Set once tokens may never be released (see the module docs).
+    lost: AtomicBool,
     /// Held by a waiter between its check of `count` and its sleep, and by
     /// the last release around its wake-up, so the wake-up cannot fall
     /// between the two.
@@ -38,6 +47,7 @@ impl InFlight {
     pub fn new(tel: TelemetryHandle) -> Self {
         InFlight {
             count: AtomicI64::new(0),
+            lost: AtomicBool::new(false),
             quiet_lock: Mutex::new(()),
             quiet: Condvar::new(),
             tel,
@@ -64,19 +74,31 @@ impl InFlight {
         }
     }
 
+    /// Records that tokens may never be released, and wakes the waiters so
+    /// they fail now rather than at their timeout.
+    pub fn lose_tokens(&self) {
+        self.lost.store(true, Ordering::SeqCst);
+        let _guard = self.lock();
+        self.quiet.notify_all();
+    }
+
     /// Current token count (diagnostic).
     pub fn pending(&self) -> i64 {
         self.count.load(Ordering::SeqCst)
     }
 
     /// Blocks until the counter reads zero, woken by the last release.
-    /// Returns `false` if `timeout` elapses first.
+    /// Returns `false` if `timeout` elapses first, and at once while tokens
+    /// are held after [`InFlight::lose_tokens`].
     pub fn wait_quiet(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut guard = self.lock();
         loop {
             if self.count.load(Ordering::SeqCst) == 0 {
                 return true;
+            }
+            if self.lost.load(Ordering::SeqCst) {
+                return false;
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
@@ -164,6 +186,36 @@ mod tests {
         }
         drop(hand_over);
         releaser.join().unwrap();
+    }
+
+    #[test]
+    fn lost_tokens_fail_the_wait_at_once() {
+        // Each cycle hands a fresh counter holding one token to a thread
+        // that declares it lost, and waits at once, so the loss races the
+        // waiter's check.  A lost wake-up sleeps out the 30 s timeout.
+        let (hand_over, counters) = std::sync::mpsc::channel::<Arc<InFlight>>();
+        let loser = std::thread::spawn(move || {
+            for inflight in counters {
+                inflight.lose_tokens();
+            }
+        });
+        for cycle in 0..1000 {
+            let inflight = Arc::new(InFlight::new(TelemetryHandle::off()));
+            inflight.up();
+            hand_over.send(Arc::clone(&inflight)).unwrap();
+            let start = Instant::now();
+            assert!(!inflight.wait_quiet(Duration::from_secs(30)));
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "cycle {cycle}: the wake-up was lost"
+            );
+        }
+        drop(hand_over);
+        loser.join().unwrap();
+        // With no token held there is nothing to lose.
+        let inflight = InFlight::new(TelemetryHandle::off());
+        inflight.lose_tokens();
+        assert!(inflight.wait_quiet(Duration::from_secs(30)));
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! equals `WireSize::wire_bytes`.  `sent_nanos` is on the shared
 //! [`TickClock`] nanosecond base, giving the send-to-receive latency
 //! histogram without cross-machine clock agreement (loopback only).
-//! Readers trust no header field (see `reader_loop`).
+//! Readers trust no header field (see `reader_loop`); a reader that closes
+//! its connection on a bad header fails the cluster's quiescence wait at
+//! once, since the tokens of the frames written behind it are lost.
 
 use crate::clock::TickClock;
 use crate::codec::WireCodec;
@@ -178,7 +180,10 @@ fn read_frame(stream: &mut impl Read, payload: &mut Vec<u8>) -> Frame {
 /// on an oversize header, where the stream lost frame sync, and on a
 /// header whose `from` is no node of the `n`-node cluster or differs from
 /// the first frame's: a connection carries the frames of the one worker
-/// that opened it.
+/// that opened it.  Frames already written behind a closing rejection are
+/// never read, so their tokens are lost: the reader says so
+/// ([`InFlight::lose_tokens`]) and the cluster's quiescence wait fails at
+/// once instead of at its timeout.
 fn reader_loop<P>(
     mut stream: TcpStream,
     n: usize,
@@ -193,16 +198,20 @@ fn reader_loop<P>(
         tel.incr(Counter::NetFramesRejected);
         inflight.down();
     };
+    let close = || {
+        reject();
+        inflight.lose_tokens();
+    };
     let mut payload = Vec::new();
     let mut sender = None;
     loop {
         let (from, sent_nanos) = match read_frame(&mut stream, &mut payload) {
             Frame::Data(from, sent_nanos) => (from, sent_nanos),
-            Frame::Oversize => return reject(),
+            Frame::Oversize => return close(),
             Frame::Closed => return,
         };
         if from as usize >= n || *sender.get_or_insert(from) != from {
-            return reject();
+            return close();
         }
         let Some(msg) = P::Msg::decode(&payload) else {
             reject();
@@ -383,8 +392,8 @@ mod tests {
     /// Feeds `frames` to the reader of an `N`-node cluster, each frame
     /// holding one token, then a tokenless well-formed frame that only a
     /// reader which failed to close would deliver.  Returns the senders of
-    /// the delivered frames, the count rejected and the tokens still held.
-    fn read_frames(frames: &[Vec<u8>]) -> (Vec<Node>, u64, i64) {
+    /// the delivered frames, the count rejected and the token counter.
+    fn read_frames(frames: &[Vec<u8>]) -> (Vec<Node>, u64, Arc<InFlight>) {
         let (mut client, server) = socket_pair();
         // A reader that fails to close ends here instead of hanging.
         server
@@ -415,7 +424,7 @@ mod tests {
             })
             .collect();
         let rejected = tel.snapshot().unwrap().counter(Counter::NetFramesRejected);
-        (delivered, rejected, inflight.pending())
+        (delivered, rejected, inflight)
     }
 
     #[test]
@@ -442,27 +451,42 @@ mod tests {
         // An undecodable payload is skipped and the stream goes on; an
         // oversize header closes it instead of reading 4 GiB.
         let undecodable = [header(4), vec![0xFF; 4]].concat();
-        let (delivered, rejected, pending) = read_frames(&[undecodable, good(3), header(u32::MAX)]);
+        let (delivered, rejected, inflight) =
+            read_frames(&[undecodable, good(3), header(u32::MAX)]);
         assert_eq!(delivered, [3]);
         assert_eq!(rejected, 2);
         // The delivered frame's token is the worker's to release.
-        assert_eq!(pending, 1, "a token leaked");
+        assert_eq!(inflight.pending(), 1, "a token leaked");
     }
 
     #[test]
     fn forged_senders_are_rejected_and_close_the_connection() {
         // A `from` past the cluster, first or later on a connection, and a
-        // `from` other than the connection's first.
+        // `from` other than the connection's first; in the last case a frame
+        // written behind the forged one strands its token.
         let n = N as Node;
-        for (frames, expected) in [
-            (vec![good(n)], vec![]),
-            (vec![good(3), good(n)], vec![3]),
-            (vec![good(3), good(2)], vec![3]),
+        for (frames, expected, stranded) in [
+            (vec![good(n)], vec![], 0),
+            (vec![good(3), good(n)], vec![3], 0),
+            (vec![good(3), good(2)], vec![3], 0),
+            (vec![good(3), good(n), good(3)], vec![3], 1),
         ] {
-            let (delivered, rejected, pending) = read_frames(&frames);
+            let (delivered, rejected, inflight) = read_frames(&frames);
             assert_eq!(delivered, expected);
             assert_eq!(rejected, 1);
-            assert_eq!(pending, expected.len() as i64, "a token leaked");
+            let held = (expected.len() + stranded) as i64;
+            assert_eq!(inflight.pending(), held, "a token leaked");
+            // Once the worker releases the delivered frames' tokens, a
+            // stranded token fails the wait at once, not after 30 s.
+            for _ in &delivered {
+                inflight.down();
+            }
+            let start = std::time::Instant::now();
+            assert_eq!(inflight.wait_quiet(Duration::from_secs(30)), stranded == 0);
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "slept out the wait"
+            );
         }
     }
 

@@ -90,7 +90,7 @@ fn tcp_end_state_matches_asim_smoke() {
 
 #[test]
 fn queue_depth_gauge_reads_zero_at_quiescence() {
-    use rspan_telemetry::{Counter, Gauge, TelemetryHandle};
+    use rspan_telemetry::{Counter, Gauge, Hist, TelemetryHandle};
     let tel = TelemetryHandle::enabled();
     let (mut engine, mut scenario) = world(32, 5);
     let harness = NetCluster::new(NetChurnConfig {
@@ -112,4 +112,9 @@ fn queue_depth_gauge_reads_zero_at_quiescence() {
         "in-process delivery loses nothing"
     );
     assert!(snap.counter(Counter::NetBytesSent) > 0);
+    assert!(snap.counter(Counter::NetBytesRecv) > 0);
+    assert!(
+        snap.hist(Hist::NetLatencyNs).count > 0,
+        "every received frame records its latency"
+    );
 }

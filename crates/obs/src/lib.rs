@@ -34,7 +34,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Node identifier, mirrored from the graph substrate.
@@ -474,6 +474,139 @@ fn summary_fields(s: &HistSummary, prefix: &str) -> String {
     )
 }
 
+// ---------------------------------------------------------------------------
+// Trace lint
+// ---------------------------------------------------------------------------
+
+/// The keys an event line of `kind` carries besides `t` and `kind`, or
+/// `None` for a kind the recorder never renders.
+fn trace_keys(kind: &str) -> Option<&'static [&'static str]> {
+    Some(match kind {
+        "commit" => &["epoch", "batch", "dirty", "added", "removed"],
+        "deliver" => &["from", "to", "bytes", "latency", "frame"],
+        "drop" => &["from", "to", "bytes", "cause", "frame"],
+        "repair" => &[
+            "epoch",
+            "marked_batch",
+            "marked_flips",
+            "skipped",
+            "repaired",
+            "flips",
+        ],
+        "local_repair" => &[
+            "epoch",
+            "ball_rows",
+            "landmark_trees",
+            "landmarks",
+            "cache_dropped",
+            "cache_hits",
+            "cache_misses",
+            "cache_evictions",
+        ],
+        "wave_start" => &["origin", "epoch"],
+        "quorum_echo" | "quorum_deliver" => &["node", "origin", "epoch", "slot"],
+        "stale_row" => &["row", "since", "ticks", "censored"],
+        _ => return None,
+    })
+}
+
+/// Splits one flat JSON object into `(key, raw value)` pairs, string values
+/// still quoted; `None` unless every value is a string, bool or number.
+fn flat_fields(line: &str) -> Option<Vec<(&str, &str)>> {
+    let mut rest = line.strip_prefix('{')?.strip_suffix('}')?;
+    let mut fields = Vec::new();
+    loop {
+        let (key, after) = rest.strip_prefix('"')?.split_once("\":")?;
+        let len = match after.strip_prefix('"') {
+            Some(s) => s.find('"')? + 2,
+            None => after.find(',').unwrap_or(after.len()),
+        };
+        let (value, tail) = after.split_at(len);
+        let scalar = value.starts_with('"')
+            || value == "true"
+            || value == "false"
+            || value.parse::<f64>().is_ok();
+        if !scalar {
+            return None;
+        }
+        fields.push((key, value));
+        match tail.strip_prefix(',') {
+            Some(next) => rest = next,
+            None if tail.is_empty() => return Some(fields),
+            None => return None,
+        }
+    }
+}
+
+/// Validates the JSONL event log of one recorded run, as
+/// [`ObsReport::to_jsonl`] renders it: at least one line; every line a flat
+/// object of a known `kind` with `t` and that kind's keys; `t`
+/// non-decreasing; `commit` epochs consecutive from 1; each `local_repair`
+/// on the latest commit's epoch; each `wave_start` of a committed epoch;
+/// and every other event that names a wave `(origin, epoch)` naming a
+/// started one.  Returns the first violation.  The sibling of
+/// `rspan_telemetry::lint_prometheus`.
+///
+/// Byzantine runs can break the last rule legitimately: a replaying node
+/// re-stamps frames with an older epoch, naming waves that never started.
+pub fn lint_trace(jsonl: &str) -> Result<(), String> {
+    if jsonl.is_empty() {
+        return Err("empty trace".into());
+    }
+    let mut last_t = 0u64;
+    let mut epoch = 0u64;
+    let mut waves = BTreeSet::new();
+    for (lineno, line) in jsonl.lines().enumerate() {
+        let fail = |what: String| format!("line {}: {what}: {line}", lineno + 1);
+        let fields = flat_fields(line).ok_or_else(|| fail("not a flat JSON object".into()))?;
+        let get = |key: &str| fields.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
+        let num = |key: &str| {
+            get(key)
+                .and_then(|v| v.parse::<u64>().ok())
+                .ok_or_else(|| fail(format!("\"{key}\" is not a count")))
+        };
+        let kind = get("kind")
+            .and_then(|v| v.strip_prefix('"')?.strip_suffix('"'))
+            .ok_or_else(|| fail("no kind".into()))?;
+        let keys = trace_keys(kind).ok_or_else(|| fail(format!("unknown kind {kind:?}")))?;
+        if let Some(key) = ["t"].iter().chain(keys).find(|k| get(k).is_none()) {
+            return Err(fail(format!("{kind} without {key:?}")));
+        }
+        let t = num("t")?;
+        if t < last_t {
+            return Err(fail(format!("t went back from {last_t}")));
+        }
+        last_t = t;
+        match kind {
+            "commit" => {
+                let e = num("epoch")?;
+                if e != epoch + 1 {
+                    return Err(fail(format!("commit skipped from epoch {epoch}")));
+                }
+                epoch = e;
+            }
+            "local_repair" if num("epoch")? != epoch => {
+                return Err(fail(format!("repair off the current epoch {epoch}")));
+            }
+            "wave_start" => {
+                let e = num("epoch")?;
+                if e == 0 || e > epoch {
+                    return Err(fail(format!("wave of an uncommitted epoch (at {epoch})")));
+                }
+                waves.insert((num("origin")?, e));
+            }
+            _ if get("origin").is_some() => {
+                let wave = (num("origin")?, num("epoch")?);
+                if !waves.contains(&wave) {
+                    return Err(fail(format!("wave {wave:?} never started")));
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 /// The recorder behind an enabled [`ObsHandle`]: in-memory JSONL log plus
 /// aggregates.
 #[derive(Default)]
@@ -820,6 +953,136 @@ mod tests {
         assert!(report.lines.is_empty());
         assert_eq!(report.quorum_echoes, 1);
         assert_eq!(report.to_jsonl(), "");
+    }
+
+    /// One run as the recorder renders it: a commit, its local repair, a
+    /// wave with a delivery, an unattributed drop and an echo quorum, a
+    /// stale row, then the next commit.
+    fn run_trace() -> String {
+        let obs = ObsHandle::mem(ObsConfig::default());
+        let w = wave(3, 1);
+        let meta = FrameMeta {
+            kind: FrameKind::LinkState,
+            wave: Some(w),
+            ttl: 3,
+        };
+        let commit = |epoch| ObsEvent::Commit {
+            epoch,
+            batch: 2,
+            dirty: 5,
+            added: 1,
+            removed: 0,
+        };
+        obs.emit_at(0, commit(1));
+        obs.emit(ObsEvent::LocalRepair {
+            epoch: 1,
+            ball_rows: 4,
+            landmark_trees: 1,
+            landmarks: 2,
+            cache_dropped: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_evictions: 0,
+        });
+        obs.emit(ObsEvent::WaveStart { wave: w });
+        obs.emit_at(
+            2,
+            ObsEvent::Deliver {
+                from: 3,
+                to: 4,
+                bytes: 28,
+                latency: 2,
+                meta,
+            },
+        );
+        obs.emit_at(
+            2,
+            ObsEvent::Drop {
+                from: 4,
+                to: 5,
+                bytes: 9,
+                cause: DropCause::Loss,
+                meta: FrameMeta::default(),
+            },
+        );
+        obs.emit_at(
+            3,
+            ObsEvent::QuorumEcho {
+                node: 4,
+                wave: w,
+                slot: 0,
+            },
+        );
+        obs.emit_at(
+            4,
+            ObsEvent::StaleRow {
+                row: 9,
+                since: 1,
+                ticks: 3,
+                censored: false,
+            },
+        );
+        obs.emit_at(5, commit(2));
+        obs.take_report().expect("recorder attached").to_jsonl()
+    }
+
+    #[test]
+    fn recorded_runs_lint_clean() {
+        lint_trace(&run_trace()).expect("a recorded run must lint clean");
+    }
+
+    #[test]
+    fn lint_rejects_malformed_traces() {
+        let run = run_trace();
+        let with = |line: &str| lint_trace(&format!("{run}{line}\n"));
+        assert_eq!(lint_trace(""), Err("empty trace".into()));
+        // One line appended to a clean run per violation class, with the
+        // words its message must carry.
+        for (line, why) in [
+            ("not json", "not a flat JSON object"),
+            (r#"{"t":5,"kind":"teleport"}"#, "unknown kind"),
+            (
+                r#"{"t":5,"kind":"wave_start","origin":3}"#,
+                "without \"epoch\"",
+            ),
+            (
+                r#"{"kind":"wave_start","origin":3,"epoch":2}"#,
+                "without \"t\"",
+            ),
+            (
+                r#"{"t":4,"kind":"wave_start","origin":3,"epoch":2}"#,
+                "t went back",
+            ),
+            (
+                r#"{"t":6,"kind":"commit","epoch":4,"batch":1,"dirty":1,"added":0,"removed":0}"#,
+                "commit skipped",
+            ),
+            (
+                r#"{"t":6,"kind":"local_repair","epoch":1,"ball_rows":0,"landmark_trees":0,"landmarks":2,"cache_dropped":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0}"#,
+                "off the current epoch",
+            ),
+            (
+                r#"{"t":6,"kind":"wave_start","origin":1,"epoch":3}"#,
+                "uncommitted epoch",
+            ),
+            (
+                r#"{"t":6,"kind":"deliver","from":1,"to":2,"bytes":9,"latency":1,"frame":"tree_advert","origin":1,"epoch":2,"ttl":1}"#,
+                "never started",
+            ),
+            (
+                r#"{"t":6,"kind":"quorum_deliver","node":2,"origin":1,"epoch":2,"slot":0}"#,
+                "never started",
+            ),
+        ] {
+            let err = with(line).expect_err(line);
+            assert!(err.contains(why), "{line}: {err}");
+        }
+        // The same frame passes once its wave has started.
+        assert!(with(
+            "{\"t\":6,\"kind\":\"wave_start\",\"origin\":1,\"epoch\":2}\n\
+             {\"t\":6,\"kind\":\"quorum_deliver\",\"node\":2,\"origin\":1,\"epoch\":2,\"slot\":0}"
+        )
+        .is_ok());
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!
 //! Every configuration is property-tested **bit-identical** to the
 //! hand-wired pipeline it replaces: the algorithms against their free
-//! constructors, sync sessions against
-//! [`ChurnSession`](rspan_distributed::ChurnSession) steps, async sessions
-//! against [`rspan_asim::run_repair_churn`].
+//! constructors, sync sessions against an engine and a
+//! [`DeltaRouter`](rspan_distributed::DeltaRouter) stepped by hand, async
+//! sessions against [`rspan_asim::run_repair_churn`].
 //!
 //! ## Quick start
 //!

@@ -6,7 +6,7 @@
 //! to the flat object shape the `BENCH_*.json` baselines use, so a session
 //! row and a hand-written harness row are interchangeable (the bench
 //! harness composes its rows from [`Metrics::json_fields`] plus its own
-//! timing fields, and CI validates the result's shape).
+//! timing fields, and `bench_gate` pins the result's key set).
 
 use rspan_asim::{AsimStats, RoundReport, VTime};
 use rspan_core::StretchGuarantee;
@@ -264,8 +264,8 @@ pub struct Metrics {
 }
 
 /// Formats an `f64` the way the bench JSON does: finite values with two
-/// decimals, non-finite as `-1.0` (the "no data" sentinel the validators
-/// accept).
+/// decimals, non-finite as `-1.0` (the "no data" sentinel, since JSON has no
+/// NaN).
 fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.2}")

@@ -8,9 +8,9 @@
 //!
 //! Every configuration is pinned **bit-identical** to the hand-wired
 //! pipeline it replaces (property-tested): a sync session steps exactly like
-//! [`ChurnSession`], an async session replays
-//! [`rspan_asim::run_repair_churn`]'s event timeline, and the initial build
-//! equals the [`SpannerAlgo`]'s free constructor.
+//! an engine commit followed by a [`DeltaRouter::apply`], an async session
+//! replays [`rspan_asim::run_repair_churn`]'s event timeline, and the
+//! initial build equals the [`SpannerAlgo`]'s free constructor.
 
 use crate::algo::SpannerAlgo;
 use crate::error::RspanError;
@@ -863,9 +863,9 @@ impl Session {
     }
 
     /// Drives one churn round drawn from the owned scenario: under the sync
-    /// scheduler a batch → commit → repair step (exactly a
-    /// [`ChurnSession`](rspan_distributed::ChurnSession) step), under the
-    /// async scheduler one churn boundary on the event timeline (exactly a
+    /// scheduler a batch → commit → repair step (exactly an engine commit
+    /// followed by a [`DeltaRouter::apply`]), under the async scheduler one
+    /// churn boundary on the event timeline (exactly a
     /// [`rspan_asim::run_repair_churn`] round).
     pub fn step(&mut self) -> Result<StepReport, RspanError> {
         if self.scenario.is_none() {

@@ -2,9 +2,10 @@
 //! against `tests/golden/`, so a change that alters every run alike (which a
 //! run-vs-run replay test cannot see) fails.  The sessions cover the event
 //! families: sync `Repair::Delta`, sync `Repair::Local` (`local_repair`),
-//! and async with loss and crash churn.  On a mismatch the produced trace is
-//! written where the failure says; if the change is intended, review it and
-//! copy it over the golden file.
+//! and async with loss and crash churn.  Each trace must also pass
+//! `rspan_obs::lint_trace`.  On a mismatch the produced trace is written
+//! where the failure says; if the change is intended, review it and copy it
+//! over the golden file.
 
 use rspan_asim::{AsimConfig, LatencyModel};
 use rspan_engine::LinkFlapScenario;
@@ -55,6 +56,7 @@ fn traces_match_golden_files() {
         ("async_loss_crash.jsonl", Repair::Delta, lossy),
     ] {
         let actual = trace(repair, scheduler);
+        rspan_obs::lint_trace(&actual).unwrap_or_else(|e| panic!("{name}: {e}"));
         let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
             .join(name);

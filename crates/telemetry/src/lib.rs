@@ -1335,6 +1335,25 @@ mod tests {
         assert!(text.contains("rspan_heap_depth_count 2"));
         assert!(text.contains("rspan_span_wall_ns_total{span=\"mark\"} 1000"));
         assert!(text.contains("rspan_heap_depth_bucket{le=\"+Inf\"} 2"));
+        // The series the smoke runs' health depends on are all exported.
+        for series in [
+            "rspan_engine_commits_total ",
+            "rspan_sim_events_total ",
+            "rspan_sim_delivered_total ",
+            "rspan_span_calls_total{span=\"sim_run\"} ",
+            "rspan_sim_heap_depth ",
+            "rspan_net_frames_sent_total ",
+            "rspan_net_frames_recv_total ",
+            "rspan_net_bytes_sent_total ",
+            "rspan_net_bytes_recv_total ",
+            "rspan_net_queue_depth ",
+            "rspan_net_latency_ns_count ",
+        ] {
+            assert!(
+                text.lines().any(|line| line.starts_with(series)),
+                "{series:?} not exported"
+            );
+        }
     }
 
     #[test]

@@ -96,8 +96,8 @@ pub mod prelude {
     };
     // Distributed execution: routing, tables, delta repair, protocol.
     pub use rspan_distributed::{
-        greedy_route, measure_routing, restabilise_flood, run_remspan_protocol, ChurnSession,
-        DeltaRouter, ProtocolNode, RepairStats, RoutingTables, RunStats, Transport, TreeStrategy,
+        greedy_route, measure_routing, restabilise_flood, run_remspan_protocol, DeltaRouter,
+        ProtocolNode, RepairStats, RoutingTables, RunStats, Transport, TreeStrategy,
     };
     // Asynchronous event-driven simulation and adversarial fault injection.
     pub use rspan_asim::{

@@ -7,8 +7,8 @@ use remote_spanners::core::{
     two_connecting_remote_spanner, verify_remote_stretch,
 };
 use remote_spanners::distributed::{
-    apply_change, greedy_route, measure_routing, restabilise_with, ChurnSession, RouteOutcome,
-    RoutingTables, TopologyChange, TreeStrategy,
+    apply_change, greedy_route, measure_routing, DeltaRouter, RouteOutcome, RoutingTables,
+    TopologyChange, TreeStrategy,
 };
 use remote_spanners::engine::RspanEngine;
 use remote_spanners::graph::generators::{gnp_connected, grid_graph, uniform_udg};
@@ -94,7 +94,7 @@ fn restabilisation_after_changes_stays_correct_and_local() {
         let g2 = apply_change(&g, change);
         for strategy in strategies {
             let mut engine = RspanEngine::new(g.clone(), strategy.algo());
-            let delta = restabilise_with(&mut engine, change);
+            let delta = engine.commit(&[change]);
             // The incremental result must still be a valid remote-spanner of
             // the new graph (checked against the strategy's implied guarantee:
             // at least (2, 1), which every strategy here satisfies).
@@ -115,29 +115,30 @@ fn restabilisation_after_changes_stays_correct_and_local() {
 
 #[test]
 fn churn_session_routes_correctly_through_repaired_tables() {
-    // End-to-end: one caller-held engine + router (a ChurnSession) absorbs a
-    // stream of changes; after every round the repaired tables must equal a
+    // End-to-end: one caller-held engine + router absorbs a stream of
+    // changes; after every round the repaired tables must equal a
     // from-scratch build and still deliver packets along shortest H_u paths.
     let g = uniform_udg(80, 4.0, 1.0, 11).graph;
     let strategy = TreeStrategy::KGreedy { k: 2 };
-    let mut session = ChurnSession::new(g.clone(), strategy);
+    let mut engine = RspanEngine::new(g.clone(), strategy.algo());
+    let mut router = DeltaRouter::new(&engine);
     let mut reference = g.clone();
     let edges: Vec<(Node, Node)> = g.edges().take(4).collect();
     for (round, &(u, v)) in edges.iter().enumerate() {
         let change = TopologyChange::RemoveEdge(u, v);
-        let (delta, stats) = session.step(&[change]);
+        let delta = engine.commit(&[change]);
+        let stats = router.apply(&engine, &[change], &delta);
         assert_eq!(delta.epoch, round as u64 + 1);
         assert!(stats.rows_recomputed >= 2);
         reference = apply_change(&reference, change);
-        let full = RoutingTables::build(&session.engine().spanner_on(&reference));
+        let full = RoutingTables::build(&engine.spanner_on(&reference));
         assert_eq!(
-            session.router().tables(),
+            router.tables(),
             &full,
             "round {round}: session tables diverged from a from-scratch build"
         );
     }
     // Spot-check forwarding against true shortest-path lower bounds.
-    let router = session.router();
     for s in [0u32, 17, 42] {
         for t in [5u32, 63, 79] {
             if s == t {
@@ -153,9 +154,9 @@ fn churn_session_routes_correctly_through_repaired_tables() {
 
 #[test]
 fn long_lived_engine_matches_a_fresh_engine_per_change() {
-    // restabilise_with on a caller-held engine (overlay, tree caches and
-    // scratch pools reused across changes) must agree with rebuilding a
-    // fresh engine before every change, change for change.
+    // Commits on a caller-held engine (overlay, tree caches and scratch
+    // pools reused across changes) must agree with rebuilding a fresh
+    // engine before every change, change for change.
     let g = gnp_connected(60, 0.08, 21);
     let strategy = TreeStrategy::KGreedy { k: 1 };
     let mut engine = RspanEngine::new(g.clone(), strategy.algo());
@@ -165,8 +166,8 @@ fn long_lived_engine_matches_a_fresh_engine_per_change() {
         let change = TopologyChange::RemoveEdge(u, v);
         let next = apply_change(&current, change);
         let mut fresh = RspanEngine::new(current.clone(), strategy.algo());
-        let fresh_delta = restabilise_with(&mut fresh, change);
-        let delta = restabilise_with(&mut engine, change);
+        let fresh_delta = fresh.commit(&[change]);
+        let delta = engine.commit(&[change]);
         let session_edges: Vec<(Node, Node)> = engine.spanner_on(&next).edges().collect();
         let fresh_edges: Vec<(Node, Node)> = fresh.spanner_on(&next).edges().collect();
         assert_eq!(session_edges, fresh_edges);
@@ -203,7 +204,7 @@ fn repeated_changes_converge_to_the_from_scratch_construction() {
     let mut spanner_edges: Option<Vec<(Node, Node)>> = None;
     for change in changes {
         let next = apply_change(&current, change);
-        restabilise_with(&mut engine, change);
+        engine.commit(&[change]);
         spanner_edges = Some(engine.spanner_on(&next).edges().collect());
         current = next;
     }
