@@ -6,7 +6,7 @@
 //!   construction with `O(n^{1+1/k})` edges,
 //! * a **Baswana–Sen style clustering spanner**, the standard near-linear-time
 //!   randomized `(2k−1, 0)`-spanner, standing in for the `(k, k−1)`-spanner
-//!   of reference [2] in Table 1 (see DESIGN.md for the substitution note),
+//!   of reference \[2\] in Table 1 (see DESIGN.md for the substitution note),
 //! * a **BFS-tree spanner**, the extreme sparsity/stretch trade-off point.
 //!
 //! Section 1.2 of the paper notes that every `(α, β)`-spanner is also an

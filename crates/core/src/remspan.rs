@@ -103,7 +103,7 @@ where
 
 /// Builds the remote-spanner with per-node trees computed on `threads` worker
 /// threads (0 = available parallelism).  Each worker owns a private
-/// [`DomScratch`]; see [`parallel_union`] for the lock-free merge.  The
+/// [`DomScratch`]; see `parallel_union` for the lock-free merge.  The
 /// result equals [`rem_span_algo`] exactly.
 pub fn rem_span_algo_parallel(graph: &CsrGraph, algo: TreeAlgo, threads: usize) -> Subgraph<'_> {
     let threads = resolve_threads(threads);
@@ -173,7 +173,7 @@ where
 }
 
 /// Closure-based parallel driver (see [`rem_span_algo_parallel`] for the
-/// pooled equivalent); same lock-free [`parallel_union`] scaffold.  The
+/// pooled equivalent); same lock-free `parallel_union` scaffold.  The
 /// result is identical to [`rem_span`].
 pub fn rem_span_parallel<'g, F>(graph: &'g CsrGraph, strategy: F, threads: usize) -> Subgraph<'g>
 where

@@ -8,19 +8,20 @@
 //! trees, so [`CompactRouter`] stores, per node,
 //!
 //! * **ball rows** — exact canonical next hops for every destination within
-//!   distance `R` in `H_u` (a truncated [`crate::tables::fill_row`] BFS over
-//!   the same [`crate::delta::SparseView`] the delta repair sweeps use).  A
-//!   BFS prefix is exact: every depth-`d ≤ R` node is discovered at its true
-//!   distance, and its canonical hop is final once all depth-`d − 1`
-//!   predecessors have been expanded — so entries with `dist ≤ R` are
-//!   *bit-identical* to the corresponding full-row entries;
+//!   distance `R` in `H_u` (a truncated `tables::fill_row` BFS over the
+//!   same sparse `H_u` view the delta repair sweeps use).  A BFS prefix is
+//!   exact: every depth-`d ≤ R` node is discovered at its true distance, and
+//!   its canonical hop is final once all depth-`d − 1` predecessors have
+//!   been expanded — so entries with `dist ≤ R` are *bit-identical* to the
+//!   corresponding full-row entries;
 //! * **landmark trees** — a small landmark set (a stride sample of the node
 //!   ids plus the minimum node of every spanner component, so every
 //!   reachable target has a reachable landmark), each carrying one BFS tree
-//!   over the **pure spanner** adjacency with canonical (minimum-id) parents
-//!   and DFS preorder intervals.  Far targets resolve a *home landmark*
-//!   (closest by tree distance) and route up/down its tree: interval
-//!   containment decides descend-vs-ascend statelessly at every hop;
+//!   over the **pure spanner** adjacency: depths and canonical (minimum-id)
+//!   parents.  Far targets resolve a *home landmark* (closest by tree
+//!   distance) and route up/down its tree: walking the target up to one
+//!   level below the current node decides descend-vs-ascend statelessly at
+//!   every hop, in at most the target's landmark distance;
 //! * an **LRU row cache** for hot destinations: [`CompactRouter::exact_next_hop`]
 //!   materialises a full canonical row on demand (the scratch-pool epoch
 //!   idiom — epoch-stamped slots, sentinel slot map), and each commit
@@ -29,7 +30,7 @@
 //!   stale.
 //!
 //! Per-node state is `Õ(ball + landmarks)`:
-//! `12·|ball| + 16·L + 12·cache_capacity` bytes instead of the dense `8n`.
+//! `12·|ball| + 8·L + 12·cache_capacity` bytes instead of the dense `8n`.
 //!
 //! # Delivery and stretch
 //!
@@ -58,8 +59,11 @@
 //!   commits skip them entirely; otherwise each flip is tested against each
 //!   tree with an O(1) predicate (mirroring the delta-router row predicate:
 //!   an equal-depth flip, an added non-improving predecessor, or a removed
-//!   non-parent predecessor provably leaves distances, canonical parents and
-//!   hence the DFS intervals unchanged) and only dirty trees rebuild;
+//!   non-parent predecessor provably leaves depths and canonical parents
+//!   unchanged), and a tree some flip does change is repaired in place
+//!   (dynamic BFS in the Even–Shiloach / Ramalingam–Reps style): only nodes
+//!   whose depth or canonical parent changes are moved, bit-identical to a
+//!   rebuild.  Newly elected landmarks get a fresh BFS tree;
 //! * **cached rows** run the exact delta-router flip predicate (with
 //!   in-place support maintenance) and drop only the rows a flip actually
 //!   changes, plus the rows of batch endpoints.
@@ -73,6 +77,8 @@ use rspan_graph::{
 };
 use rspan_obs::{ObsEvent, ObsHandle};
 use rspan_telemetry::{Counter, Gauge, Hist, Span, TelemetryHandle};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Pure-spanner adjacency view (no incident-edge augmentation) — the
@@ -147,7 +153,8 @@ pub struct LocalRepairStats {
     pub epoch: u64,
     /// Ball rows rebuilt.
     pub ball_rows: usize,
-    /// Landmark trees rebuilt (dirty or newly elected).
+    /// Landmark trees repaired or built (changed by a flip, or newly
+    /// elected).
     pub landmark_trees: usize,
     /// Cached rows dropped by the flip predicate or batch endpoints.
     pub cache_invalidated: usize,
@@ -165,15 +172,14 @@ struct BallEntry {
     dist: u32,
 }
 
-/// One landmark's BFS tree over the pure spanner: distances, canonical
-/// (minimum-id) parents and DFS preorder intervals for stateless
-/// descend-vs-ascend decisions.
+/// One landmark's BFS tree over the pure spanner: distances and canonical
+/// (minimum-id) parents.  Whether a hop descends or ascends is read off an
+/// ancestor walk ([`tree_hop`]), so re-parenting a subtree touches only the
+/// nodes whose depth or parent changed.
 struct LandmarkTree {
     root: Node,
     dist: Vec<u32>,
     parent: Vec<Node>,
-    tin: Vec<u32>,
-    tout: Vec<u32>,
 }
 
 impl LandmarkTree {
@@ -182,32 +188,47 @@ impl LandmarkTree {
             root,
             dist: Vec::new(),
             parent: Vec::new(),
-            tin: Vec::new(),
-            tout: Vec::new(),
         }
     }
 }
 
-/// Rebuilds `tree` from scratch over `adj`: canonical-parent BFS (every
+/// Scratch for [`rebuild_tree`] and [`repair_tree`], pooled on the router.
+#[derive(Default)]
+struct TreeScratch {
+    /// BFS queue of a build; the parent fix-up list of a repair.
+    queue: Vec<Node>,
+    /// `(depth, node)` min-heap: repair candidates by old depth, then the
+    /// unit-weight Dijkstra frontier.
+    heap: BinaryHeap<Reverse<(u32, Node)>>,
+    /// Nodes whose depth a repair rewrote, each once, with the old depth.
+    moved: Vec<(Node, u32)>,
+    moved_seen: EpochFlags,
+    fix_seen: EpochFlags,
+}
+
+impl TreeScratch {
+    /// Lowers `v`'s depth to `d` if that is shorter, recording `v`'s depth
+    /// before the repair and queueing it for the Dijkstra.
+    fn lower(&mut self, dist: &mut [u32], v: Node, d: u32) {
+        if d < dist[v as usize] {
+            if self.moved_seen.set(v) {
+                self.moved.push((v, dist[v as usize]));
+            }
+            dist[v as usize] = d;
+            self.heap.push(Reverse((d, v)));
+        }
+    }
+}
+
+/// Builds `tree` from scratch over `adj`: a canonical-parent BFS (every
 /// predecessor of `v` is dequeued before `v` is expanded, so the min-id fold
-/// is final by then) followed by an iterative DFS assigning preorder
-/// intervals, children visited in ascending id order (the sorted adjacency
-/// order restricted to `parent[c] == w`).
-fn rebuild_tree(
-    tree: &mut LandmarkTree,
-    n: usize,
-    adj: &[Vec<Node>],
-    queue: &mut Vec<Node>,
-    stack: &mut Vec<(Node, usize)>,
-) {
+/// is final by then).
+fn rebuild_tree(tree: &mut LandmarkTree, adj: &[Vec<Node>], queue: &mut Vec<Node>) {
+    let n = adj.len();
     tree.dist.clear();
     tree.dist.resize(n, UNREACH);
     tree.parent.clear();
     tree.parent.resize(n, NO_HOP);
-    tree.tin.clear();
-    tree.tin.resize(n, 0);
-    tree.tout.clear();
-    tree.tout.resize(n, 0);
     queue.clear();
     tree.dist[tree.root as usize] = 0;
     queue.push(tree.root);
@@ -227,46 +248,172 @@ fn rebuild_tree(
             }
         }
     }
-    stack.clear();
-    let mut timer = 0u32;
-    tree.tin[tree.root as usize] = 0;
-    stack.push((tree.root, 0));
-    while let Some(&mut (w, ref mut i)) = stack.last_mut() {
-        let list = &adj[w as usize];
-        let mut descended = false;
-        while *i < list.len() {
-            let c = list[*i];
-            *i += 1;
-            if tree.parent[c as usize] == w {
-                timer += 1;
-                tree.tin[c as usize] = timer;
-                stack.push((c, 0));
-                descended = true;
-                break;
-            }
-        }
-        if !descended {
-            tree.tout[w as usize] = timer;
-            stack.pop();
-        }
-    }
 }
 
-/// Next hop from `w` toward `dst` along `tree` (both must be reachable in
-/// the tree and `w != dst`): descend when `dst` lies in `w`'s DFS interval,
-/// ascend otherwise.
-fn tree_hop(tree: &LandmarkTree, adj: &[Vec<Node>], w: Node, dst: Node) -> Node {
-    let td = tree.tin[dst as usize];
-    if td >= tree.tin[w as usize] && td <= tree.tout[w as usize] {
-        for &c in &adj[w as usize] {
-            if tree.parent[c as usize] == w
-                && td >= tree.tin[c as usize]
-                && td <= tree.tout[c as usize]
-            {
-                return c;
+/// Repairs `tree` in place for the spanner `flips` (`(x, y, added)`), `adj`
+/// being the post-flip adjacency, so that it equals [`rebuild_tree`] over
+/// `adj`.  Returns `false`, touching nothing, when no flip can change the
+/// tree.
+///
+/// 1. *Seed* each flip on the pre-flip tree, by depth, lower end `lo`,
+///    higher end `hi`: a removed parent edge makes `hi` a candidate for a
+///    depth increase; an added edge spanning more than one level (or
+///    reaching an unreachable `hi`) shortens a path, and one between
+///    adjacent levels with `lo < parent[hi]` gives `hi` a smaller parent.
+///    Equal depths and every other flip change nothing.
+/// 2. *Increases*: in increasing old depth, a candidate with no neighbour
+///    left one level up loses its depth, and its tree children become
+///    candidates.  Every node not invalidated keeps a path no longer than
+///    before.
+/// 3. *Decreases*: each invalidated node restarts one past its best
+///    neighbour, each added edge relaxes its far end, and a unit-weight
+///    Dijkstra settles the new depths in increasing order.  The first node
+///    on a new shortest path whose old depth was wrong is reached by one of
+///    these seeds, so every settled depth is exact.
+/// 4. *Canonical parents* are recomputed (smallest neighbour one level up)
+///    for every node whose depth changed, their neighbours, and every flip
+///    endpoint: no other node's set of candidate parents changed.
+fn repair_tree(
+    tree: &mut LandmarkTree,
+    adj: &[Vec<Node>],
+    flips: &[(Node, Node, bool)],
+    s: &mut TreeScratch,
+) -> bool {
+    let n = adj.len();
+    s.heap.clear();
+    let mut seeded = false;
+    for &(x, y, is_add) in flips {
+        let (dx, dy) = (tree.dist[x as usize], tree.dist[y as usize]);
+        if dx == dy {
+            // Equal depth (or both unreachable): on no tree path, no
+            // predecessor relation, child sets unchanged.
+            continue;
+        }
+        let (lo, hi, dlo, dhi) = if dx < dy {
+            (x, y, dx, dy)
+        } else {
+            (y, x, dy, dx)
+        };
+        let adjacent_levels = dhi != UNREACH && dhi - dlo == 1;
+        if is_add {
+            // A shortcut, or an improving predecessor; a non-improving
+            // extra predecessor changes nothing.
+            seeded |= !adjacent_levels || lo < tree.parent[hi as usize];
+        } else if adjacent_levels {
+            if tree.parent[hi as usize] == lo {
+                seeded = true; // the canonical parent edge is gone
+                s.heap.push(Reverse((dhi, hi)));
+            }
+        } else {
+            // A present tree edge forces Δ ≤ 1 with both ends reachable;
+            // anything else is a bookkeeping bug — rebuild defensively.
+            rebuild_tree(tree, adj, &mut s.queue);
+            return true;
+        }
+    }
+    if !seeded {
+        return false;
+    }
+    let LandmarkTree { root, dist, parent } = tree;
+
+    // Increases.  Candidates pop in increasing old depth and only push
+    // children one level deeper, so every node one level up is final.
+    s.moved.clear();
+    s.moved_seen.begin(n);
+    while let Some(Reverse((d, v))) = s.heap.pop() {
+        let list = &adj[v as usize];
+        if dist[v as usize] != d || list.iter().any(|&u| dist[u as usize] == d - 1) {
+            continue; // already invalidated, or still supported
+        }
+        dist[v as usize] = UNREACH;
+        s.moved_seen.set(v);
+        s.moved.push((v, d));
+        for &c in list {
+            if parent[c as usize] == v {
+                s.heap.push(Reverse((d + 1, c)));
             }
         }
-        unreachable!("dst in w's DFS interval but in no child's");
+    }
+
+    // Decreases and re-attachment.  Every tentative depth is the length of
+    // a real path, so relaxation only lowers it toward the exact one.
+    for i in 0..s.moved.len() {
+        let v = s.moved[i].0;
+        let best = adj[v as usize].iter().map(|&u| dist[u as usize]).min();
+        if let Some(best) = best.filter(|&d| d != UNREACH) {
+            s.lower(dist, v, best + 1);
+        }
+    }
+    for &(x, y, is_add) in flips {
+        if is_add {
+            for (from, to) in [(x, y), (y, x)] {
+                let d = dist[from as usize];
+                if d != UNREACH {
+                    s.lower(dist, to, d + 1);
+                }
+            }
+        }
+    }
+    while let Some(Reverse((d, v))) = s.heap.pop() {
+        if d == dist[v as usize] {
+            for &w in &adj[v as usize] {
+                s.lower(dist, w, d + 1);
+            }
+        }
+    }
+
+    // Canonical parents.
+    s.fix_seen.begin(n);
+    s.queue.clear();
+    for &(v, old) in &s.moved {
+        if dist[v as usize] != old {
+            for u in std::iter::once(v).chain(adj[v as usize].iter().copied()) {
+                if s.fix_seen.set(u) {
+                    s.queue.push(u);
+                }
+            }
+        }
+    }
+    for &(x, y, _) in flips {
+        for u in [x, y] {
+            if s.fix_seen.set(u) {
+                s.queue.push(u);
+            }
+        }
+    }
+    for &v in &s.queue {
+        if v == *root {
+            continue;
+        }
+        let dv = dist[v as usize];
+        parent[v as usize] = if dv == UNREACH {
+            NO_HOP
+        } else {
+            *adj[v as usize]
+                .iter()
+                .find(|&&u| dist[u as usize] == dv - 1)
+                .expect("a reachable non-root node has a neighbour one level up")
+        };
+    }
+    true
+}
+
+/// Next hop from `w` toward `dst` along `tree` (both reachable in the tree,
+/// `w != dst`): the child of `w` on the tree path when `dst` lies below `w`,
+/// `parent[w]` otherwise.  Walks `dst` up to depth `dist[w] + 1`, at most
+/// `dist[dst]` steps.
+fn tree_hop(tree: &LandmarkTree, w: Node, dst: Node) -> Node {
+    let dw = tree.dist[w as usize];
+    let mut a = dst;
+    let mut da = tree.dist[dst as usize];
+    if da > dw {
+        while da > dw + 1 {
+            a = tree.parent[a as usize];
+            da -= 1;
+        }
+        if tree.parent[a as usize] == w {
+            return a;
+        }
     }
     tree.parent[w as usize]
 }
@@ -359,7 +506,7 @@ pub struct CompactRouter {
     cache: RowCache,
     // Scratch pools (epoch-stamped where flag-shaped).
     queue: Vec<Node>,
-    dfs_stack: Vec<(Node, usize)>,
+    tree_scratch: TreeScratch,
     tmp_next: Vec<Node>,
     tmp_dist: Vec<u32>,
     src_neighbors: Vec<Node>,
@@ -369,7 +516,6 @@ pub struct CompactRouter {
     dirty_list: Vec<Node>,
     endpoint_seen: EpochFlags,
     flips: Vec<(Node, Node, bool)>,
-    tree_dirty: Vec<bool>,
     spare_trees: Vec<LandmarkTree>,
     /// Wall time spent materialising rows since the last commit (measured
     /// only with telemetry on), flushed into [`Span::Materialize`] at the
@@ -407,7 +553,7 @@ impl CompactRouter {
             trees: Vec::new(),
             cache: RowCache::new(n, cfg.cache_capacity),
             queue: Vec::with_capacity(n),
-            dfs_stack: Vec::new(),
+            tree_scratch: TreeScratch::default(),
             tmp_next: vec![NO_HOP; n],
             tmp_dist: vec![UNREACH; n],
             src_neighbors: Vec::new(),
@@ -417,7 +563,6 @@ impl CompactRouter {
             dirty_list: Vec::new(),
             endpoint_seen: EpochFlags::new(),
             flips: Vec::new(),
-            tree_dirty: Vec::new(),
             spare_trees: Vec::new(),
             pending_materialize_ns: 0,
             cache_mark: CacheStats::default(),
@@ -434,10 +579,8 @@ impl CompactRouter {
             let mut tree = router.spare_tree(root);
             rebuild_tree(
                 &mut tree,
-                n,
                 &router.spanner_adj,
-                &mut router.queue,
-                &mut router.dfs_stack,
+                &mut router.tree_scratch.queue,
             );
             router.trees.push(tree);
         }
@@ -454,9 +597,9 @@ impl CompactRouter {
     }
 
     /// Attaches a deterministic event trace: every repair emits one
-    /// [`ObsEvent::LocalRepair`] summarising the rebuilt ball rows and
-    /// landmark trees plus the cache traffic since the last commit.  Off by
-    /// default.
+    /// [`ObsEvent::LocalRepair`] summarising the rebuilt ball rows, the
+    /// repaired or built landmark trees and the cache traffic since the last
+    /// commit.  Off by default.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = obs;
     }
@@ -492,11 +635,11 @@ impl CompactRouter {
     }
 
     /// Total compact routing state in bytes: ball entries (12 B each),
-    /// landmark trees (16 B per node per tree) and the row cache at
+    /// landmark trees (8 B per node per tree) and the row cache at
     /// capacity (12 B per destination per slot).
     pub fn state_bytes(&self) -> usize {
         self.ball_entries() * 12
-            + self.trees.len() * self.n * 16
+            + self.trees.len() * self.n * 8
             + self.cfg.cache_capacity * self.n * 12
     }
 
@@ -548,7 +691,7 @@ impl CompactRouter {
         if tree.dist[u as usize] == UNREACH {
             return None;
         }
-        Some(tree_hop(tree, &self.spanner_adj, u, v))
+        Some(tree_hop(tree, u, v))
     }
 
     /// Forwards a packet from `s` to `t` hop by hop (ball hops while `t` is
@@ -569,7 +712,7 @@ impl CompactRouter {
         while w != t {
             let hop = match self.ball_hop(w, t) {
                 Some(hop) => hop,
-                None => tree_hop(tree, &self.spanner_adj, w, t),
+                None => tree_hop(tree, w, t),
             };
             path.push(hop);
             w = hop;
@@ -606,7 +749,7 @@ impl CompactRouter {
     /// Consumes one engine commit and repairs the compact state.
     ///
     /// With telemetry attached ([`CompactRouter::set_telemetry`]) ball-row
-    /// and landmark-tree rebuilds are timed into [`Span::BallRepair`] /
+    /// rebuilds and landmark-tree repairs are timed into [`Span::BallRepair`] /
     /// [`Span::LandmarkRepair`], and the wall time query-path
     /// materialisation accumulated since the last commit is flushed into
     /// [`Span::Materialize`].  With an obs handle attached
@@ -643,16 +786,6 @@ impl CompactRouter {
         // pre-flip rows decides survival; batch endpoints always drop
         // (their incident sets changed).
         let cache_invalidated = self.invalidate_cache(batch);
-
-        // Landmark trees: pure functions of the spanner, scanned only when
-        // it flipped, each tree stopping at its first marking flip.
-        self.tree_dirty.clear();
-        self.tree_dirty.resize(self.trees.len(), false);
-        if !self.flips.is_empty() {
-            for ti in 0..self.trees.len() {
-                self.tree_dirty[ti] = self.tree_is_dirty(ti);
-            }
-        }
 
         // Only now mutate the spanner adjacency to the post-commit state.
         for &(x, y) in &delta.removed {
@@ -705,57 +838,50 @@ impl CompactRouter {
         span.add_items(ball_rows as u64);
         drop(span);
 
-        // Landmark set + trees: re-elect on any spanner flip (component
-        // structure may have changed), rebuild dirty and new trees, retire
-        // trees of demoted landmarks into the spare pool.
+        // Landmark set + trees: pure functions of the spanner, so only a
+        // spanner flip touches them.  Re-elect (component structure may have
+        // changed), repair kept trees in place, build trees of new
+        // landmarks, retire trees of demoted landmarks into the spare pool.
         let mut span = self.tel.span(Span::LandmarkRepair);
-        let mut trees_rebuilt = 0usize;
+        let mut trees_touched = 0usize;
         if !self.flips.is_empty() {
             let old_landmarks = std::mem::take(&mut self.landmarks);
-            let old_trees = std::mem::take(&mut self.trees);
-            let old_dirty = std::mem::take(&mut self.tree_dirty);
+            let mut old_trees: Vec<Option<LandmarkTree>> = std::mem::take(&mut self.trees)
+                .into_iter()
+                .map(Some)
+                .collect();
             self.elect_landmarks();
-            let mut keep: Vec<Option<(LandmarkTree, bool)>> =
-                old_trees.into_iter().zip(old_dirty).map(Some).collect();
             let landmarks = std::mem::take(&mut self.landmarks);
             for &root in &landmarks {
-                let found = old_landmarks
+                let kept = old_landmarks
                     .binary_search(&root)
                     .ok()
-                    .and_then(|i| keep[i].take());
-                let tree = match found {
-                    Some((tree, false)) => tree,
-                    Some((mut tree, true)) => {
-                        trees_rebuilt += 1;
-                        rebuild_tree(
+                    .and_then(|i| old_trees[i].take());
+                let tree = match kept {
+                    Some(mut tree) => {
+                        if repair_tree(
                             &mut tree,
-                            n,
                             &self.spanner_adj,
-                            &mut self.queue,
-                            &mut self.dfs_stack,
-                        );
+                            &self.flips,
+                            &mut self.tree_scratch,
+                        ) {
+                            trees_touched += 1;
+                        }
                         tree
                     }
                     None => {
-                        trees_rebuilt += 1;
+                        trees_touched += 1;
                         let mut tree = self.spare_tree(root);
-                        rebuild_tree(
-                            &mut tree,
-                            n,
-                            &self.spanner_adj,
-                            &mut self.queue,
-                            &mut self.dfs_stack,
-                        );
+                        rebuild_tree(&mut tree, &self.spanner_adj, &mut self.tree_scratch.queue);
                         tree
                     }
                 };
                 self.trees.push(tree);
             }
             self.landmarks = landmarks;
-            self.spare_trees
-                .extend(keep.into_iter().flatten().map(|(tree, _)| tree));
+            self.spare_trees.extend(old_trees.into_iter().flatten());
         }
-        span.add_items(trees_rebuilt as u64);
+        span.add_items(trees_touched as u64);
         drop(span);
 
         let s = self.cache.stats;
@@ -771,7 +897,7 @@ impl CompactRouter {
             self.tel.incr(Counter::CompactRepairs);
             self.tel.add(Counter::CompactBallRows, ball_rows as u64);
             self.tel
-                .add(Counter::CompactTreesRebuilt, trees_rebuilt as u64);
+                .add(Counter::CompactTreesRebuilt, trees_touched as u64);
             self.tel.add(Counter::CacheHits, s.hits - m.hits);
             self.tel.add(Counter::CacheMisses, s.misses - m.misses);
             self.tel.add(Counter::CacheMaterialized, materialized);
@@ -788,7 +914,7 @@ impl CompactRouter {
             self.obs.emit(ObsEvent::LocalRepair {
                 epoch: delta.epoch,
                 ball_rows: ball_rows as u32,
-                landmark_trees: trees_rebuilt as u32,
+                landmark_trees: trees_touched as u32,
                 landmarks: self.landmarks.len() as u32,
                 cache_dropped: cache_invalidated as u32,
                 cache_hits: (s.hits - m.hits) as u32,
@@ -802,7 +928,7 @@ impl CompactRouter {
         LocalRepairStats {
             epoch: self.epoch,
             ball_rows,
-            landmark_trees: trees_rebuilt,
+            landmark_trees: trees_touched,
             cache_invalidated,
             batch_changes: batch.len(),
             spanner_flips: self.flips.len(),
@@ -921,43 +1047,6 @@ impl CompactRouter {
             }
             None => LandmarkTree::empty(root),
         }
-    }
-
-    /// O(1)-per-flip dirtiness of tree `ti`, mirroring the delta-router row
-    /// predicate on the tree's (pre-flip) distances and canonical parents;
-    /// see the module docs for the case analysis.
-    fn tree_is_dirty(&self, ti: usize) -> bool {
-        let tree = &self.trees[ti];
-        for &(x, y, is_add) in &self.flips {
-            let dx = tree.dist[x as usize];
-            let dy = tree.dist[y as usize];
-            if dx == dy {
-                // Equal depth (or both unreachable): on no tree path, no
-                // predecessor relation, child sets unchanged.
-                continue;
-            }
-            let (lo, hi) = if dx < dy { (x, y) } else { (y, x) };
-            let (dlo, dhi) = if dx < dy { (dx, dy) } else { (dy, dx) };
-            if is_add {
-                if dhi != UNREACH && dhi - dlo == 1 {
-                    if lo < tree.parent[hi as usize] {
-                        return true; // canonical parent improves
-                    }
-                    continue; // non-improving extra predecessor
-                }
-                return true; // distance or reachability changes
-            }
-            if dhi != UNREACH && dhi - dlo == 1 {
-                if tree.parent[hi as usize] == lo {
-                    return true; // the canonical parent edge is gone
-                }
-                continue; // lo was not hi's parent: nothing changes
-            }
-            // A present tree edge forces Δ ≤ 1 with both ends reachable;
-            // anything else is a bookkeeping bug — rebuild defensively.
-            return true;
-        }
-        false
     }
 
     /// Drops cached rows a flip actually changes (exact predicate, with
@@ -1333,6 +1422,161 @@ mod tests {
         assert_eq!(snap.span(Span::LandmarkRepair).calls, 1);
         let materialize = snap.span(Span::Materialize);
         assert_eq!((materialize.calls, materialize.items), (1, 1));
+    }
+
+    /// Fresh canonical-parent BFS trees over the engine's own spanner, one
+    /// per landmark of `router`: the oracle every repaired tree must equal.
+    fn assert_trees_match_rebuild(router: &CompactRouter, engine: &RspanEngine, context: &str) {
+        let n = router.n();
+        let mut adj: Vec<Vec<Node>> = vec![Vec::new(); n];
+        for (u, v) in engine.spanner_pairs() {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        adj.iter_mut().for_each(|list| list.sort_unstable());
+        let mut queue = Vec::new();
+        assert_eq!(router.trees.len(), router.landmarks.len(), "{context}");
+        for (tree, &root) in router.trees.iter().zip(&router.landmarks) {
+            assert_eq!(tree.root, root, "{context}");
+            let mut fresh = LandmarkTree::empty(root);
+            rebuild_tree(&mut fresh, &adj, &mut queue);
+            assert_eq!(
+                tree.dist, fresh.dist,
+                "{context}: depths of landmark {root}"
+            );
+            assert_eq!(
+                tree.parent, fresh.parent,
+                "{context}: parents of landmark {root}"
+            );
+        }
+    }
+
+    /// Keeps the changes of `batch` that are valid in sequence against
+    /// `graph`: interleaved scenario families break each other's
+    /// bookkeeping, and the engine takes only valid batches.
+    fn valid_subset(
+        graph: &rspan_graph::DynamicGraph,
+        batch: Vec<TopologyChange>,
+    ) -> Vec<TopologyChange> {
+        let mut tracker = graph.clone();
+        batch
+            .into_iter()
+            .filter(|change| {
+                let (u, v) = change.endpoints();
+                let ok = match change {
+                    TopologyChange::AddEdge(..) => !tracker.has_edge(u, v),
+                    TopologyChange::RemoveEdge(..) => tracker.has_edge(u, v),
+                };
+                if ok {
+                    change.apply_to(&mut tracker);
+                }
+                ok
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repaired_trees_equal_a_fresh_bfs_under_interleaved_churn() {
+        use rspan_engine::{ChurnScenario, JoinLeaveScenario, LinkFlapScenario, MobilityScenario};
+        use rspan_graph::generators::udg::uniform_udg;
+        let cfg = LocalConfig {
+            landmarks: 24,
+            cache_capacity: 0,
+        };
+        let (mut lost_reach, mut new_landmarks, mut decreases) = (0usize, 0usize, 0usize);
+        for seed in [31u64, 32, 33] {
+            let inst = uniform_udg(90, 5.0, 1.0, seed);
+            let mut engine = RspanEngine::new(inst.graph.clone(), TreeAlgo::KGreedy { k: 2 });
+            let mut router = CompactRouter::new(&engine, cfg);
+            assert_trees_match_rebuild(&router, &engine, "fresh build");
+            let mut scenarios: Vec<Box<dyn ChurnScenario>> = vec![
+                Box::new(LinkFlapScenario::new(&inst.graph, 3.0, seed)),
+                Box::new(MobilityScenario::from_udg(&inst, 3, 0.2, seed ^ 0x5EED)),
+                Box::new(JoinLeaveScenario::new(inst.graph.clone(), 2, seed ^ 0x101E)),
+            ];
+            for round in 0..24 {
+                let before: Vec<(Node, Vec<u32>)> = router
+                    .trees
+                    .iter()
+                    .map(|t| (t.root, t.dist.clone()))
+                    .collect();
+                let scenario = &mut scenarios[round % 3];
+                let batch = valid_subset(engine.graph(), scenario.next_batch(engine.graph()));
+                let delta = engine.commit(&batch);
+                router.apply(&engine, &batch, &delta);
+                assert_trees_match_rebuild(&router, &engine, &format!("seed {seed} round {round}"));
+                for (tree, &root) in router.trees.iter().zip(&router.landmarks) {
+                    let Some((_, old)) = before.iter().find(|(r, _)| *r == root) else {
+                        new_landmarks += 1;
+                        continue;
+                    };
+                    for (&was, &now) in old.iter().zip(&tree.dist) {
+                        lost_reach += usize::from(was != UNREACH && now == UNREACH);
+                        decreases += usize::from(now < was);
+                    }
+                }
+            }
+        }
+        // The stream must reach the hard cases, or the oracle proves little.
+        assert!(lost_reach > 0, "no node became unreachable in a kept tree");
+        assert!(new_landmarks > 0, "no landmark was newly elected");
+        assert!(decreases > 0, "no depth decreased through an added edge");
+    }
+
+    #[test]
+    fn cut_and_shortcut_into_the_orphaned_subtree_in_one_batch() {
+        // Root 0 on the path 0-1-2-3-4-5 with a branch 0-6-7.  One batch
+        // cuts the tree edge (1, 2), orphaning {2, 3, 4, 5}, adds the
+        // shortcut (7, 4) into that subtree and cuts (4, 5) so 5 is lost.
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 6), (6, 7)];
+        let mut adj: Vec<Vec<Node>> = vec![Vec::new(); 8];
+        for &(u, v) in &edges {
+            sorted_insert(&mut adj[u as usize], v);
+            sorted_insert(&mut adj[v as usize], u);
+        }
+        let mut scratch = TreeScratch::default();
+        let mut tree = LandmarkTree::empty(0);
+        rebuild_tree(&mut tree, &adj, &mut scratch.queue);
+        assert_eq!(tree.dist, [0, 1, 2, 3, 4, 5, 1, 2]);
+
+        // An equal-depth edge and a non-improving predecessor change nothing.
+        let quiet = [(1, 6, true), (2, 6, true)];
+        for &(x, y, _) in &quiet {
+            sorted_insert(&mut adj[x as usize], y);
+            sorted_insert(&mut adj[y as usize], x);
+        }
+        let (dist, parent) = (tree.dist.clone(), tree.parent.clone());
+        assert!(!repair_tree(&mut tree, &adj, &quiet, &mut scratch));
+        assert_eq!((&tree.dist, &tree.parent), (&dist, &parent));
+        for &(x, y, _) in &quiet {
+            sorted_remove(&mut adj[x as usize], y);
+            sorted_remove(&mut adj[y as usize], x);
+        }
+
+        // A smaller predecessor moves no depth, only 7's parent.
+        let improve = [(1, 7, true)];
+        sorted_insert(&mut adj[1], 7);
+        sorted_insert(&mut adj[7], 1);
+        assert!(repair_tree(&mut tree, &adj, &improve, &mut scratch));
+        assert_eq!(tree.dist, dist);
+        assert_eq!(tree.parent[7], 1);
+
+        let flips = [(4, 7, true), (1, 2, false), (4, 5, false)];
+        for &(x, y, added) in &flips {
+            if added {
+                sorted_insert(&mut adj[x as usize], y);
+                sorted_insert(&mut adj[y as usize], x);
+            } else {
+                sorted_remove(&mut adj[x as usize], y);
+                sorted_remove(&mut adj[y as usize], x);
+            }
+        }
+        assert!(repair_tree(&mut tree, &adj, &flips, &mut scratch));
+        assert_eq!(tree.dist, [0, 1, 5, 4, 3, UNREACH, 1, 2]);
+        assert_eq!(tree.parent, [NO_HOP, 0, 3, 4, 7, NO_HOP, 0, 1]);
+        let mut fresh = LandmarkTree::empty(0);
+        rebuild_tree(&mut fresh, &adj, &mut scratch.queue);
+        assert_eq!((tree.dist, tree.parent), (fresh.dist, fresh.parent));
     }
 
     #[test]

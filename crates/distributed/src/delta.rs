@@ -14,7 +14,7 @@
 //!
 //! Row `u` records, per destination `v`, the distance `d_{H_u}(u, v)`, the
 //! *canonical* next hop (smallest first hop over all shortest paths,
-//! [`crate::tables::fill_row`]) and that hop's *support* — how many
+//! `tables::fill_row`) and that hop's *support* — how many
 //! predecessors of `v` realise it.  All three are pure functions of the
 //! `H_u` metric, so whether a flipped spanner edge `{x, y}` changes row `u`
 //! is decided **exactly** by O(1) reads of the row itself — the table *is*

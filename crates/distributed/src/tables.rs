@@ -110,7 +110,7 @@ impl RoutingTables {
     /// sweep*: for each `u`, one BFS from `u` over `H_u` records distances
     /// and, folded into the same edge scans, the canonical next hop toward
     /// every destination (the smallest first hop over all shortest paths —
-    /// see [`fill_row`]).  Total cost is `O(n · (n + m_{H_u}))`: `n` sweeps,
+    /// see `fill_row`).  Total cost is `O(n · (n + m_{H_u}))`: `n` sweeps,
     /// each touching every `H_u` edge a constant number of times, with one
     /// pooled queue buffer shared by all sweeps.
     pub fn build(spanner: &Subgraph<'_>) -> Self {

@@ -13,7 +13,10 @@
 //!   distances at scale);
 //! * **exactness** — cached exact queries ([`CompactRouter::exact_next_hop`])
 //!   are bit-identical to the dense tables' canonical next hops, and a
-//!   cache-enabled router answers exactly like a cache-disabled one.
+//!   cache-enabled router answers exactly like a cache-disabled one;
+//! * **repair** — the router repaired commit by commit answers every
+//!   landmark and routing query exactly like one built fresh from the same
+//!   engine state.
 
 use rspan_distributed::{CompactRouter, LocalConfig, RoutingTables};
 use rspan_engine::{
@@ -187,5 +190,50 @@ fn cache_enabled_answers_exactly_like_cache_disabled() {
             cached.cache_stats().evictions > 0 || round < 1,
             "round {round}: LRU pressure never materialised — the property is vacuous"
         );
+    }
+}
+
+#[test]
+fn repaired_router_answers_like_a_fresh_build_under_interleaved_churn() {
+    for seed in [21u64, 22, 23] {
+        let inst = uniform_udg(90, 5.0, 1.0, seed);
+        let algo = rspan_domtree::TreeAlgo::KGreedy { k: 2 };
+        let mut engine = RspanEngine::new(inst.graph.clone(), algo);
+        let mut router = CompactRouter::new(&engine, test_config());
+        let mut scenarios = churn_mix(&inst, seed);
+        for round in 0..18 {
+            let scenario = &mut scenarios[round % 3];
+            let batch = valid_subset(engine.graph(), scenario.next_batch(engine.graph()));
+            let delta = engine.commit(&batch);
+            router.apply(&engine, &batch, &delta);
+            let fresh = CompactRouter::new(&engine, test_config());
+            let context = format!("seed {seed} round {round}");
+            assert_eq!(router.landmarks(), fresh.landmarks(), "{context}");
+            let n = engine.graph().n() as Node;
+            for t in 0..n {
+                assert_eq!(
+                    router.home_landmark(t),
+                    fresh.home_landmark(t),
+                    "{context}: home landmark of {t}"
+                );
+                assert_eq!(
+                    router.landmark_distance(t),
+                    fresh.landmark_distance(t),
+                    "{context}: landmark distance of {t}"
+                );
+                for s in 0..n {
+                    assert_eq!(
+                        router.next_hop(s, t),
+                        fresh.next_hop(s, t),
+                        "{context}: next hop ({s}, {t})"
+                    );
+                    assert_eq!(
+                        router.forward(s, t),
+                        fresh.forward(s, t),
+                        "{context}: route ({s}, {t})"
+                    );
+                }
+            }
+        }
     }
 }

@@ -83,7 +83,7 @@ where
 }
 
 /// Total number of relay selections over all nodes of the graph — the
-/// quantity whose expectation is analysed in the paper's reference [14] and
+/// quantity whose expectation is analysed in the paper's reference \[14\] and
 /// which drives the `O(n^{4/3})` bound of Theorem 2.  Runs on a single pooled
 /// scratch across all nodes.
 pub fn total_mpr_selections<A>(graph: &A, k: usize) -> usize

@@ -325,7 +325,7 @@ impl RspanEngine {
     /// its own pooled [`DomScratch`].
     ///
     /// The rebuild items are sorted by root id and cut into
-    /// [`DIRTY_CHUNK`]-node chunks, and each worker takes one *contiguous
+    /// `DIRTY_CHUNK`-node chunks, and each worker takes one *contiguous
     /// block* of chunks — its roots cover an adjacent CSR id range, so the
     /// neighbor scans of one worker stay in nearby cache lines instead of
     /// the scattered residues a round-robin chunk deal produces.  Each

@@ -232,7 +232,8 @@ pub enum ObsEvent {
         epoch: u64,
         /// Ball rows rebuilt.
         ball_rows: u32,
-        /// Landmark trees rebuilt (dirty or newly elected).
+        /// Landmark trees repaired or built (changed by a flip, or newly
+        /// elected).
         landmark_trees: u32,
         /// Landmark-set size after the repair.
         landmarks: u32,

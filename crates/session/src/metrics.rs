@@ -82,7 +82,7 @@ pub struct LocalMetrics {
     pub rows_materialized: u64,
     /// Ball rows rebuilt across all repairs.
     pub ball_rows_repaired: usize,
-    /// Landmark trees rebuilt across all repairs.
+    /// Landmark trees repaired or built across all repairs.
     pub landmark_trees_rebuilt: usize,
     /// Cached rows invalidated across all repairs.
     pub cache_invalidated: usize,

@@ -128,7 +128,7 @@ pub enum Counter {
     CompactRepairs,
     /// Compact router: ball-local rows rebuilt.
     CompactBallRows,
-    /// Compact router: landmark trees rebuilt.
+    /// Compact router: landmark trees repaired or built.
     CompactTreesRebuilt,
     /// Compact router: row-cache hits on the query path.
     CacheHits,
@@ -240,7 +240,7 @@ impl Counter {
             Counter::RouterSkippedRows => "Flip/row pairs proven unaffected",
             Counter::CompactRepairs => "Compact-router repair passes",
             Counter::CompactBallRows => "Ball-local rows rebuilt",
-            Counter::CompactTreesRebuilt => "Landmark trees rebuilt",
+            Counter::CompactTreesRebuilt => "Landmark trees repaired or built",
             Counter::CacheHits => "Row-cache hits",
             Counter::CacheMisses => "Row-cache misses",
             Counter::CacheMaterialized => "Rows materialised on demand",
@@ -505,7 +505,7 @@ impl Hist {
 // Log-linear bucket mapping
 // ---------------------------------------------------------------------------
 
-/// Buckets in an [`AtomicHistogram`]: values below 16 get exact unit buckets,
+/// Buckets in an `AtomicHistogram`: values below 16 get exact unit buckets,
 /// larger values get 16 sub-buckets per power-of-two octave up to `u64::MAX`
 /// (octaves 4..=63), bounding relative error by 1/16.
 pub const HIST_BUCKETS: usize = 16 + 60 * 16;
@@ -615,7 +615,7 @@ impl AtomicHistogram {
     }
 }
 
-/// Folded view of one [`AtomicHistogram`].
+/// Folded view of one `AtomicHistogram`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Number of observations.
@@ -742,7 +742,7 @@ impl Registry {
 // Handle
 // ---------------------------------------------------------------------------
 
-/// A cheap, cloneable, **`Send + Sync`** handle to a shared [`Registry`] — or
+/// A cheap, cloneable, **`Send + Sync`** handle to a shared `Registry` — or
 /// nothing.  The default handle is off: every operation is a single `Option`
 /// branch, with no time sources, atomics or allocation on the off path.
 #[derive(Clone, Default)]
