@@ -117,14 +117,16 @@ use rspan_distributed::RoutingTables;
 use rspan_domtree::{dom_tree_k_greedy, TreeAlgo};
 use rspan_engine::{
     ChurnScenario, JoinLeaveScenario, LinkFlapScenario, MobilityScenario, RspanEngine,
+    TopologyChange,
 };
 use rspan_graph::generators::udg::udg_with_density;
 use rspan_graph::{CsrGraph, Node};
 use rspan_net::{repair_end_state, NetBackend, NetChurnConfig, NetCluster};
 use rspan_session::{
     Broadcast, LocalConfig, ObsConfig, ObsReport, Repair, Scheduler, Session, SpannerAlgo,
-    TelemetryHandle, TelemetrySnapshot,
+    StepReport, TelemetryHandle, TelemetrySnapshot,
 };
+use rspan_telemetry::Hist;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -165,6 +167,18 @@ fn phase_wall_fields(pre: &TelemetrySnapshot) -> String {
         ms(pre.repair_wall_ns(), post.repair_wall_ns()),
         ms(pre.sim_wall_ns(), post.sim_wall_ns()),
     )
+}
+
+/// Runs one sync `session.commit` and returns its report with the wall
+/// nanoseconds of its engine commit and its routing repair, read as the
+/// change in the shared registry's `commit_ns` / `repair_ns` histogram sums
+/// across the call (the repair is 0 without routing).
+fn timed_commit(session: &mut Session, batch: &[TopologyChange]) -> (StepReport, u64, u64) {
+    let pre = tel_snapshot();
+    let report = session.commit(batch).expect("sync session");
+    let post = tel_snapshot();
+    let ns = |h: Hist| post.hist(h).sum - pre.hist(h).sum;
+    (report, ns(Hist::CommitNs), ns(Hist::RepairNs))
 }
 
 /// Splices the phase wall-time keys into a finished row object.
@@ -358,8 +372,8 @@ fn engine_churn_workload(quick: bool, seed: u64, out_path: &str) {
 
             // Interleaved: the incremental commit and the full pipeline
             // restabilise the *same* round, back to back.
-            let report = session.commit(&batch).expect("sync session");
-            inc_ns.push(report.commit_ns as f64);
+            let (_, commit_ns, _) = timed_commit(&mut session, &batch);
+            inc_ns.push(commit_ns as f64);
 
             let start = Instant::now();
             let csr = session.to_csr();
@@ -424,7 +438,7 @@ fn routing_churn_rows(quick: bool, seed: u64) -> Vec<String> {
         let mean_flaps = (n as f64 / 200.0).max(1.0);
         let mut scenario = LinkFlapScenario::new(&w.graph, mean_flaps, seed + SCENARIO_SEED_OFFSET);
         // Three sessions absorb the same batches: sequential commit + delta
-        // routing (both timed via the step report), an auto-threaded
+        // routing (both timed by `timed_commit`), an auto-threaded
         // parallel commit (timed), and a forced multi-thread commit that
         // cross-checks the sharded rebuild even on single-core machines
         // (untimed).
@@ -462,11 +476,11 @@ fn routing_churn_rows(quick: bool, seed: u64) -> Vec<String> {
             let batch = scenario.next_batch(session_seq.engine().graph());
             batch_total += batch.len();
 
-            let report = session_seq.commit(&batch).expect("sync session");
-            seq_ns.push(report.commit_ns as f64);
+            let (report, commit_ns, table_repair_ns) = timed_commit(&mut session_seq, &batch);
+            seq_ns.push(commit_ns as f64);
 
-            let report_par = session_par.commit(&batch).expect("sync session");
-            par_ns.push(report_par.commit_ns as f64);
+            let (report_par, commit_ns, _) = timed_commit(&mut session_par, &batch);
+            par_ns.push(commit_ns as f64);
 
             let report_forced = session_forced.commit(&batch).expect("sync session");
             assert_eq!(
@@ -480,10 +494,10 @@ fn routing_churn_rows(quick: bool, seed: u64) -> Vec<String> {
             flips_total += report.delta.added.len() + report.delta.removed.len();
 
             // Interleaved: incremental repair (already timed inside the
-            // step) and full table rebuild restore the *same* round, back
+            // commit) and full table rebuild restore the *same* round, back
             // to back.
             let stats = report.repair.expect("delta routing configured");
-            repair_ns.push(report.repair_ns as f64);
+            repair_ns.push(table_repair_ns as f64);
             repaired_total += stats.rows_recomputed;
 
             let start = Instant::now();
@@ -576,12 +590,12 @@ fn route_local_rows(quick: bool, seed: u64, mut trace: Option<&mut Vec<String>>)
         let row_start = Instant::now();
         for _ in 0..rounds {
             let batch = scenario.next_batch(session.engine().graph());
-            let report = session.commit(&batch).expect("sync session");
+            let (report, _, local_repair_ns) = timed_commit(&mut session, &batch);
             assert!(
                 report.local_repair.is_some(),
                 "local routing configured but no compact repair ran"
             );
-            repair_ns.push(report.repair_ns as f64);
+            repair_ns.push(local_repair_ns as f64);
         }
 
         // Hot exact-query traffic so the cache counters mean something: a

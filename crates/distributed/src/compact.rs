@@ -25,9 +25,9 @@
 //! * an **LRU row cache** for hot destinations: [`CompactRouter::exact_next_hop`]
 //!   materialises a full canonical row on demand (the scratch-pool epoch
 //!   idiom — epoch-stamped slots, sentinel slot map), and each commit
-//!   invalidates cached rows with the *same* O(1)-per-flip predicate
-//!   [`crate::delta::DeltaRouter`] proves exact, so surviving rows never go
-//!   stale.
+//!   invalidates cached rows with the exact O(1)-per-flip predicate
+//!   `tables::row_survives` that [`crate::delta::DeltaRouter`] runs on its
+//!   dense rows, so surviving rows never go stale.
 //!
 //! Per-node state is `Õ(ball + landmarks)`:
 //! `12·|ball| + 8·L + 12·cache_capacity` bytes instead of the dense `8n`.
@@ -64,50 +64,19 @@
 //!   (dynamic BFS in the Even–Shiloach / Ramalingam–Reps style): only nodes
 //!   whose depth or canonical parent changes are moved, bit-identical to a
 //!   rebuild.  Newly elected landmarks get a fresh BFS tree;
-//! * **cached rows** run the exact delta-router flip predicate (with
-//!   in-place support maintenance) and drop only the rows a flip actually
-//!   changes, plus the rows of batch endpoints.
+//! * **cached rows** run the exact flip predicate `tables::row_survives`
+//!   (with in-place support maintenance) and drop only the rows a flip
+//!   actually changes, plus the rows of batch endpoints; survivors are
+//!   stamped with the new epoch.
 
-use crate::delta::SparseView;
-use crate::tables::{fill_row, NO_HOP, UNREACH};
+use crate::tables::{assert_next_delta, collect_flips, row_survives, SpannerAdj, NO_HOP, UNREACH};
 use rspan_engine::{RspanEngine, SpannerDelta, TopologyChange};
-use rspan_graph::{
-    bfs_into, connected_components, sorted_insert, sorted_remove, Adjacency, EpochFlags, Node,
-    TraversalScratch,
-};
+use rspan_graph::{bfs_into, connected_components, EpochFlags, Node, TraversalScratch};
 use rspan_obs::{ObsEvent, ObsHandle};
 use rspan_telemetry::{Counter, Gauge, Hist, Span, TelemetryHandle};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-
-/// Pure-spanner adjacency view (no incident-edge augmentation) — the
-/// substrate landmark trees and components are computed on.
-struct SpannerOnly<'a> {
-    n: usize,
-    adj: &'a [Vec<Node>],
-}
-
-impl Adjacency for SpannerOnly<'_> {
-    fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn for_each_neighbor(&self, u: Node, f: &mut dyn FnMut(Node)) {
-        for &v in &self.adj[u as usize] {
-            f(v);
-        }
-    }
-
-    fn degree_hint(&self, u: Node) -> usize {
-        self.adj[u as usize].len()
-    }
-
-    fn contains_edge(&self, u: Node, v: Node) -> bool {
-        self.adj[u as usize].binary_search(&v).is_ok()
-    }
-}
 
 /// Configuration for [`CompactRouter`] (and the session's `Repair::Local`).
 ///
@@ -120,7 +89,7 @@ pub struct LocalConfig {
     /// every reachable destination has a reachable landmark.
     pub landmarks: usize,
     /// LRU row-cache capacity in full rows; `0` disables caching (exact
-    /// queries then refill one persistent scratch row per call).
+    /// queries then refill one pooled row per call).
     pub cache_capacity: usize,
 }
 
@@ -440,8 +409,6 @@ struct RowCache {
     slot_of: Vec<u32>,
     slots: Vec<RowSlot>,
     free: Vec<RowSlot>,
-    /// Persistent scratch row used when `cap == 0`.
-    scratch: Option<RowSlot>,
     stats: CacheStats,
 }
 
@@ -453,24 +420,28 @@ impl RowCache {
             slot_of: vec![NO_SLOT; n],
             slots: Vec::new(),
             free: Vec::new(),
-            scratch: None,
             stats: CacheStats::default(),
         }
     }
 
+    /// A pooled (or new) slot with its rows at the sentinels.
     fn blank_slot(&mut self, n: usize) -> RowSlot {
-        let mut slot = self.free.pop().unwrap_or_else(|| RowSlot {
-            src: NO_HOP,
-            last_used: 0,
-            epoch: 0,
-            next: vec![NO_HOP; n],
-            dist: vec![UNREACH; n],
-            support: vec![0; n],
-        });
-        slot.next.resize(n, NO_HOP);
-        slot.dist.resize(n, UNREACH);
-        slot.support.resize(n, 0);
-        slot
+        match self.free.pop() {
+            Some(mut slot) => {
+                slot.next.fill(NO_HOP);
+                slot.dist.fill(UNREACH);
+                slot.support.fill(0);
+                slot
+            }
+            None => RowSlot {
+                src: NO_HOP,
+                last_used: 0,
+                epoch: 0,
+                next: vec![NO_HOP; n],
+                dist: vec![UNREACH; n],
+                support: vec![0; n],
+            },
+        }
     }
 
     fn drop_slot(&mut self, idx: usize) {
@@ -495,8 +466,8 @@ pub struct CompactRouter {
     epoch: u64,
     radius: u32,
     cfg: LocalConfig,
-    /// Sorted spanner neighbor lists, maintained from the deltas.
-    spanner_adj: Vec<Vec<Node>>,
+    /// The spanner, maintained from the deltas.
+    spanner: SpannerAdj,
     /// Per-node exact ball rows, sorted by destination.
     balls: Vec<Vec<BallEntry>>,
     /// Current landmark set, sorted ascending.
@@ -505,12 +476,11 @@ pub struct CompactRouter {
     trees: Vec<LandmarkTree>,
     cache: RowCache,
     // Scratch pools (epoch-stamped where flag-shaped).
-    queue: Vec<Node>,
     tree_scratch: TreeScratch,
+    /// Ball-fill rows, at the sentinels between fills.
     tmp_next: Vec<Node>,
     tmp_dist: Vec<u32>,
-    src_neighbors: Vec<Node>,
-    src_adj: EpochFlags,
+    tmp_support: Vec<u32>,
     sweep: TraversalScratch,
     dirty: EpochFlags,
     dirty_list: Vec<Node>,
@@ -534,30 +504,20 @@ impl CompactRouter {
     /// topology: every ball row, the landmark set and all landmark trees.
     pub fn new(engine: &RspanEngine, cfg: LocalConfig) -> Self {
         let n = engine.graph().n();
-        let mut spanner_adj: Vec<Vec<Node>> = vec![Vec::new(); n];
-        for (u, v) in engine.spanner_pairs() {
-            spanner_adj[u as usize].push(v);
-            spanner_adj[v as usize].push(u);
-        }
-        for list in &mut spanner_adj {
-            list.sort_unstable();
-        }
         let mut router = CompactRouter {
             n,
             epoch: engine.epoch(),
             radius: engine.dirty_radius().max(1),
             cfg,
-            spanner_adj,
+            spanner: SpannerAdj::new(engine),
             balls: vec![Vec::new(); n],
             landmarks: Vec::new(),
             trees: Vec::new(),
             cache: RowCache::new(n, cfg.cache_capacity),
-            queue: Vec::with_capacity(n),
             tree_scratch: TreeScratch::default(),
             tmp_next: vec![NO_HOP; n],
             tmp_dist: vec![UNREACH; n],
-            src_neighbors: Vec::new(),
-            src_adj: EpochFlags::new(),
+            tmp_support: vec![0; n],
             sweep: TraversalScratch::with_capacity(n),
             dirty: EpochFlags::new(),
             dirty_list: Vec::new(),
@@ -579,7 +539,7 @@ impl CompactRouter {
             let mut tree = router.spare_tree(root);
             rebuild_tree(
                 &mut tree,
-                &router.spanner_adj,
+                router.spanner.lists(),
                 &mut router.tree_scratch.queue,
             );
             router.trees.push(tree);
@@ -763,43 +723,17 @@ impl CompactRouter {
         delta: &SpannerDelta,
     ) -> LocalRepairStats {
         let repair_start = self.tel.on().then(Instant::now);
-        assert_eq!(
-            delta.epoch,
-            self.epoch + 1,
-            "compact router missed a delta (have epoch {}, got {})",
-            self.epoch,
-            delta.epoch
-        );
-        assert_eq!(
-            engine.epoch(),
-            delta.epoch,
-            "delta does not match the engine's current epoch"
-        );
+        assert_next_delta(self.epoch, engine, delta);
         let n = self.n;
-        self.flips.clear();
-        self.flips
-            .extend(delta.added.iter().map(|&(x, y)| (x, y, true)));
-        self.flips
-            .extend(delta.removed.iter().map(|&(x, y)| (x, y, false)));
+        collect_flips(delta, &mut self.flips);
 
-        // Cached rows: the exact delta-router predicate against the
-        // pre-flip rows decides survival; batch endpoints always drop
-        // (their incident sets changed).
-        let cache_invalidated = self.invalidate_cache(batch);
+        // Cached rows: the exact flip predicate against the pre-flip rows
+        // decides survival; batch endpoints always drop (their incident
+        // sets changed).
+        let cache_invalidated = self.invalidate_cache(batch, delta.epoch);
 
-        // Only now mutate the spanner adjacency to the post-commit state.
-        for &(x, y) in &delta.removed {
-            let ok = sorted_remove(&mut self.spanner_adj[x as usize], y)
-                && sorted_remove(&mut self.spanner_adj[y as usize], x);
-            assert!(
-                ok,
-                "spanner adjacency is missing the removed edge ({x}, {y})"
-            );
-        }
-        for &(x, y) in &delta.added {
-            sorted_insert(&mut self.spanner_adj[x as usize], y);
-            sorted_insert(&mut self.spanner_adj[y as usize], x);
-        }
+        // Only now move the spanner adjacency to the post-commit state.
+        self.spanner.apply(delta);
 
         // Ball rows: delta.recomputed already covers every node whose local
         // structures the engine touched (including pre-commit balls of
@@ -861,7 +795,7 @@ impl CompactRouter {
                     Some(mut tree) => {
                         if repair_tree(
                             &mut tree,
-                            &self.spanner_adj,
+                            self.spanner.lists(),
                             &self.flips,
                             &mut self.tree_scratch,
                         ) {
@@ -872,7 +806,11 @@ impl CompactRouter {
                     None => {
                         trees_touched += 1;
                         let mut tree = self.spare_tree(root);
-                        rebuild_tree(&mut tree, &self.spanner_adj, &mut self.tree_scratch.queue);
+                        rebuild_tree(
+                            &mut tree,
+                            self.spanner.lists(),
+                            &mut self.tree_scratch.queue,
+                        );
                         tree
                     }
                 };
@@ -935,72 +873,33 @@ impl CompactRouter {
         }
     }
 
-    /// Rebuilds `u`'s ball row: a radius-truncated canonical-hop BFS over
-    /// `H_u` (same fold as [`fill_row`]; nodes at depth `R` are recorded but
-    /// not expanded, which is exactly when their canonical hops are final).
+    /// Rebuilds `u`'s ball row: a `fill_row` over `H_u` truncated at the
+    /// radius (nodes at depth `R` are recorded but not expanded, which is
+    /// exactly when their canonical hops are final).
     fn fill_ball(&mut self, engine: &RspanEngine, u: Node) {
-        let n = self.n;
-        self.src_neighbors.clear();
-        engine
-            .graph()
-            .for_each_neighbor(u, &mut |v| self.src_neighbors.push(v));
-        self.src_adj.begin(n);
-        for &v in &self.src_neighbors {
-            self.src_adj.set(v);
-        }
-        let view = SparseView {
-            n,
-            spanner_adj: &self.spanner_adj,
-            src_neighbors: &self.src_neighbors,
-            src_adj: &self.src_adj,
-            source: u,
-        };
-        let radius = self.radius;
-        self.queue.clear();
-        self.tmp_dist[u as usize] = 0;
-        self.queue.push(u);
-        let mut head = 0usize;
-        while head < self.queue.len() {
-            let w = self.queue[head];
-            head += 1;
-            let dw = self.tmp_dist[w as usize];
-            if dw == radius {
-                continue; // frontier nodes are recorded, not expanded
-            }
-            let hw = self.tmp_next[w as usize];
-            let tmp_dist = &mut self.tmp_dist;
-            let tmp_next = &mut self.tmp_next;
-            let queue = &mut self.queue;
-            view.for_each_neighbor(w, &mut |v| {
-                let dv = &mut tmp_dist[v as usize];
-                if *dv == UNREACH {
-                    *dv = dw + 1;
-                    tmp_next[v as usize] = if w == u { v } else { hw };
-                    queue.push(v);
-                } else if *dv == dw + 1 && w != u {
-                    let hv = &mut tmp_next[v as usize];
-                    if hw < *hv {
-                        *hv = hw;
-                    }
-                }
-            });
-        }
+        let reached = self.spanner.fill(
+            engine,
+            u,
+            self.radius,
+            &mut self.tmp_next,
+            &mut self.tmp_dist,
+            &mut self.tmp_support,
+        );
         let row = &mut self.balls[u as usize];
         row.clear();
-        for &v in self.queue.iter() {
-            if v != u {
-                row.push(BallEntry {
-                    dst: v,
-                    hop: self.tmp_next[v as usize],
-                    dist: self.tmp_dist[v as usize],
-                });
-            }
+        for &v in &reached[1..] {
+            row.push(BallEntry {
+                dst: v,
+                hop: self.tmp_next[v as usize],
+                dist: self.tmp_dist[v as usize],
+            });
         }
         row.sort_unstable_by_key(|e| e.dst);
-        // Restore the sentinel invariant on the dense scratch arrays.
-        for &v in self.queue.iter() {
-            self.tmp_dist[v as usize] = UNREACH;
+        // Restore the sentinels on the dense scratch rows.
+        for &v in reached {
             self.tmp_next[v as usize] = NO_HOP;
+            self.tmp_dist[v as usize] = UNREACH;
+            self.tmp_support[v as usize] = 0;
         }
     }
 
@@ -1022,10 +921,7 @@ impl CompactRouter {
             self.landmarks.push(u as Node);
             u += stride;
         }
-        let comp = connected_components(&SpannerOnly {
-            n,
-            adj: &self.spanner_adj,
-        });
+        let comp = connected_components(&self.spanner);
         // Component ids are assigned in node order, so the first node seen
         // with a given id is that component's minimum.
         let mut next_comp = 0usize;
@@ -1051,8 +947,9 @@ impl CompactRouter {
 
     /// Drops cached rows a flip actually changes (exact predicate, with
     /// in-place support maintenance on survivors) plus batch endpoints'
-    /// rows.  Runs against the pre-flip adjacency/rows.
-    fn invalidate_cache(&mut self, batch: &[TopologyChange]) -> usize {
+    /// rows, and stamps the survivors with the commit's `epoch`.  Runs
+    /// against the pre-flip adjacency/rows.
+    fn invalidate_cache(&mut self, batch: &[TopologyChange], epoch: u64) -> usize {
         let mut dropped = 0usize;
         for change in batch {
             let (a, b) = change.endpoints();
@@ -1064,87 +961,39 @@ impl CompactRouter {
                 }
             }
         }
-        if self.flips.is_empty() {
-            return dropped;
-        }
         let mut si = 0usize;
         while si < self.cache.slots.len() {
-            let u = self.cache.slots[si].src;
-            let mut marked = false;
-            for fi in 0..self.flips.len() {
-                let (x, y, is_add) = self.flips[fi];
-                if u == x || u == y {
-                    continue; // H_u keeps the edge through u's incident set
-                }
-                let slot = &mut self.cache.slots[si];
-                let dx = slot.dist[x as usize];
-                let dy = slot.dist[y as usize];
-                if dx == dy {
-                    continue;
-                }
-                let (lo, hi) = if dx < dy { (x, y) } else { (y, x) };
-                let hop_lo = slot.next[lo as usize];
-                let hop_hi = slot.next[hi as usize];
-                if is_add {
-                    let (dlo, dhi) = if dx < dy { (dx, dy) } else { (dy, dx) };
-                    if dhi != UNREACH && dhi - dlo == 1 {
-                        if hop_lo > hop_hi {
-                            continue;
-                        }
-                        if hop_lo == hop_hi {
-                            slot.support[hi as usize] += 1;
-                            continue;
-                        }
-                    }
-                } else {
-                    if hop_lo > hop_hi {
-                        continue;
-                    }
-                    let support = &mut slot.support[hi as usize];
-                    if *support >= 2 {
-                        *support -= 1;
-                        continue;
-                    }
-                }
-                marked = true;
-                break;
-            }
-            if marked {
+            let slot = &mut self.cache.slots[si];
+            if row_survives(
+                slot.src,
+                &self.flips,
+                &slot.next,
+                &slot.dist,
+                &mut slot.support,
+            ) {
+                slot.epoch = epoch;
+                si += 1;
+            } else {
                 self.cache.drop_slot(si);
                 dropped += 1;
-            } else {
-                si += 1;
             }
         }
         dropped
     }
 
     /// Runs `f` against `u`'s full row, materialising it through the cache
-    /// (or the persistent scratch row when caching is disabled).
+    /// on a miss: the same sparse sweep [`crate::delta::DeltaRouter`] runs,
+    /// into a pooled slot stamped with the current epoch (returned to the
+    /// pool at once when caching is disabled).  With telemetry on, the fill
+    /// time accumulates for [`Span::Materialize`].
     fn with_row<T>(&mut self, engine: &RspanEngine, u: Node, f: impl FnOnce(&RowSlot) -> T) -> T {
         assert_eq!(
             engine.epoch(),
             self.epoch,
             "exact query against an engine at a different epoch"
         );
-        let n = self.n;
         self.cache.tick += 1;
         let tick = self.cache.tick;
-        if self.cache.cap == 0 {
-            self.cache.stats.misses += 1;
-            let mut slot = self.cache.scratch.take().unwrap_or_else(|| RowSlot {
-                src: NO_HOP,
-                last_used: 0,
-                epoch: 0,
-                next: vec![NO_HOP; n],
-                dist: vec![UNREACH; n],
-                support: vec![0; n],
-            });
-            self.materialize_into(engine, u, &mut slot, tick);
-            let out = f(&slot);
-            self.cache.scratch = Some(slot);
-            return out;
-        }
         let si = self.cache.slot_of[u as usize];
         if si != NO_SLOT {
             let slot = &mut self.cache.slots[si as usize];
@@ -1155,7 +1004,7 @@ impl CompactRouter {
             return f(&self.cache.slots[si as usize]);
         }
         self.cache.stats.misses += 1;
-        if self.cache.slots.len() >= self.cache.cap {
+        if self.cache.cap > 0 && self.cache.slots.len() >= self.cache.cap {
             let victim = self
                 .cache
                 .slots
@@ -1167,40 +1016,12 @@ impl CompactRouter {
             self.cache.drop_slot(victim);
             self.cache.stats.evictions += 1;
         }
-        let mut slot = self.cache.blank_slot(n);
-        self.materialize_into(engine, u, &mut slot, tick);
-        let idx = self.cache.slots.len() as u32;
-        self.cache.slot_of[u as usize] = idx;
-        self.cache.slots.push(slot);
-        f(&self.cache.slots[idx as usize])
-    }
-
-    /// Fills `slot` with `u`'s exact canonical row (the same sparse sweep
-    /// [`crate::delta::DeltaRouter`] runs), stamping it with the current
-    /// epoch and, with telemetry on, accumulating wall time for
-    /// [`Span::Materialize`].
-    fn materialize_into(&mut self, engine: &RspanEngine, u: Node, slot: &mut RowSlot, tick: u64) {
         let start = self.tel.on().then(Instant::now);
-        let n = self.n;
-        self.src_neighbors.clear();
-        engine
-            .graph()
-            .for_each_neighbor(u, &mut |v| self.src_neighbors.push(v));
-        self.src_adj.begin(n);
-        for &v in &self.src_neighbors {
-            self.src_adj.set(v);
-        }
-        let view = SparseView {
-            n,
-            spanner_adj: &self.spanner_adj,
-            src_neighbors: &self.src_neighbors,
-            src_adj: &self.src_adj,
-            source: u,
-        };
-        fill_row(
-            &view,
+        let mut slot = self.cache.blank_slot(self.n);
+        self.spanner.fill(
+            engine,
             u,
-            &mut self.queue,
+            UNREACH,
             &mut slot.next,
             &mut slot.dist,
             &mut slot.support,
@@ -1212,6 +1033,15 @@ impl CompactRouter {
         if let Some(start) = start {
             self.pending_materialize_ns += start.elapsed().as_nanos() as u64;
         }
+        if self.cache.cap == 0 {
+            let out = f(&slot);
+            self.cache.free.push(slot);
+            return out;
+        }
+        let idx = self.cache.slots.len() as u32;
+        self.cache.slot_of[u as usize] = idx;
+        self.cache.slots.push(slot);
+        f(&self.cache.slots[idx as usize])
     }
 }
 
@@ -1223,6 +1053,7 @@ mod tests {
     use rspan_domtree::TreeAlgo;
     use rspan_graph::generators::er::gnp_connected;
     use rspan_graph::generators::structured::{cycle_graph, grid_graph};
+    use rspan_graph::{sorted_insert, sorted_remove};
 
     /// Every ball entry must equal the corresponding dense-table entry, and
     /// every dense entry within the radius must appear in the ball.
@@ -1341,6 +1172,53 @@ mod tests {
     }
 
     #[test]
+    fn cached_rows_that_survive_a_commit_answer_exactly() {
+        let g = gnp_connected(60, 0.08, 7);
+        let mut engine = RspanEngine::new(g.clone(), TreeAlgo::KGreedy { k: 2 });
+        let mut router = CompactRouter::new(
+            &engine,
+            LocalConfig {
+                landmarks: 0,
+                cache_capacity: 64,
+            },
+        );
+        let n = router.n() as Node;
+        for u in 0..n {
+            router.exact_next_hop(&engine, u, (u + 1) % n);
+        }
+        let (eu, ev) = g.edges().next().unwrap();
+        let batch = [TopologyChange::RemoveEdge(eu, ev)];
+        let delta = engine.commit(&batch);
+        let stats = router.apply(&engine, &batch, &delta);
+        assert!(stats.spanner_flips > 0, "the removal must flip the spanner");
+        assert!(
+            stats.cache_invalidated < n as usize,
+            "some cached rows must survive the flip"
+        );
+        let before = router.cache_stats();
+        let dense = DeltaRouter::new(&engine);
+        for u in 0..n {
+            for v in 0..n {
+                assert_eq!(
+                    router.exact_next_hop(&engine, u, v),
+                    dense.next_hop(u, v),
+                    "({u}, {v})"
+                );
+                assert_eq!(
+                    router.exact_distance(&engine, u, v),
+                    dense.table_distance(u, v),
+                    "({u}, {v})"
+                );
+            }
+        }
+        // Each dropped row refills once; every survivor answers from the
+        // cache.
+        let after = router.cache_stats();
+        assert_eq!(after.misses - before.misses, stats.cache_invalidated as u64);
+        assert_eq!(after.evictions, 0);
+    }
+
+    #[test]
     fn lru_evicts_and_cache_disabled_matches() {
         let g = gnp_connected(40, 0.1, 9);
         let engine = RspanEngine::new(g, TreeAlgo::KGreedy { k: 2 });
@@ -1427,19 +1305,13 @@ mod tests {
     /// Fresh canonical-parent BFS trees over the engine's own spanner, one
     /// per landmark of `router`: the oracle every repaired tree must equal.
     fn assert_trees_match_rebuild(router: &CompactRouter, engine: &RspanEngine, context: &str) {
-        let n = router.n();
-        let mut adj: Vec<Vec<Node>> = vec![Vec::new(); n];
-        for (u, v) in engine.spanner_pairs() {
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-        }
-        adj.iter_mut().for_each(|list| list.sort_unstable());
+        let adj = SpannerAdj::new(engine);
         let mut queue = Vec::new();
         assert_eq!(router.trees.len(), router.landmarks.len(), "{context}");
         for (tree, &root) in router.trees.iter().zip(&router.landmarks) {
             assert_eq!(tree.root, root, "{context}");
             let mut fresh = LandmarkTree::empty(root);
-            rebuild_tree(&mut fresh, &adj, &mut queue);
+            rebuild_tree(&mut fresh, adj.lists(), &mut queue);
             assert_eq!(
                 tree.dist, fresh.dist,
                 "{context}: depths of landmark {root}"

@@ -13,43 +13,16 @@
 //! # Which rows can a flip affect?
 //!
 //! Row `u` records, per destination `v`, the distance `d_{H_u}(u, v)`, the
-//! *canonical* next hop (smallest first hop over all shortest paths,
-//! `tables::fill_row`) and that hop's *support* — how many
-//! predecessors of `v` realise it.  All three are pure functions of the
-//! `H_u` metric, so whether a flipped spanner edge `{x, y}` changes row `u`
-//! is decided **exactly** by O(1) reads of the row itself — the table *is*
-//! the precomputed reverse-BFS from the flipped endpoints.  With `lo`/`hi`
-//! the endpoints ordered by `dist` from `u`:
-//!
-//! * **`dist(x) == dist(y)`** (including both unreachable): an edge between
-//!   equal-depth endpoints lies on no shortest path from `u` and creates
-//!   none, and neither endpoint is a predecessor of the other.  Skip.
-//! * **Added edge, `Δdist == 1`**: no distance changes, but `hi` gains `lo`
-//!   as a predecessor.  `hop(lo) < hop(hi)`: the canonical hop improves —
-//!   recompute.  `hop(lo) == hop(hi)`: nothing changes except `hi`'s
-//!   support, incremented in place.  `hop(lo) > hop(hi)`: skip.
-//! * **Added edge, `Δdist ≥ 2`** or exactly one endpoint reachable:
-//!   distances (or reachability) genuinely change.  Recompute.
-//! * **Removed edge** (a present edge forces `Δdist ≤ 1`): `hi` loses
-//!   predecessor `lo`.  `hop(lo) > hop(hi)`: `lo` never realised the
-//!   canonical hop — skip.  `hop(lo) == hop(hi)` with support ≥ 2: another
-//!   predecessor realises the same hop, so distance and hop both survive;
-//!   decrement the support in place and skip.  Support 1: the hop (or, if
-//!   `lo` was the only predecessor, the distance) was inherited through the
-//!   removed edge — recompute.
-//! * **Topology change `{a, b}`**: `H_u` contains *all* of `u`'s incident
-//!   `G`-edges, so a plain link flip affects exactly rows `a` and `b` —
-//!   always recomputed.  Conversely, a spanner flip of an edge incident to
-//!   `u` never changes `H_u` while the edge exists in `G` (it stays present
-//!   through `u`'s own incident set), so rows `x` and `y` are skipped in the
-//!   spanner pass.
-//!
-//! Every skip is provably change-free and every mark provably changes the
-//! row (a smaller distance, a smaller or forced-larger hop), so the marked
-//! set equals the truly-affected set.  Multiple flips per commit compose:
-//! the in-place support maintenance keeps a skipped row's entries exact
-//! after each flip, so evaluating the next flip against it stays sound, and
-//! a marked row is rebuilt once from the final state.
+//! *canonical* next hop (smallest first hop over all shortest paths) and
+//! that hop's *support* — how many predecessors of `v` realise it — all
+//! filled by one canonical-hop BFS, `tables::fill_row`.  A topology change
+//! `{a, b}` changes rows `a` and `b` directly (their incident sets), so
+//! those are always recomputed.  Whether a spanner flip changes any other
+//! row is decided **exactly** by O(1) reads of the row itself, with its
+//! support kept current in place: the predicate `tables::row_survives`,
+//! which the compact router's row cache runs too, and whose doc comment
+//! carries the argument.  So the marked set equals the truly-affected set,
+//! and a marked row is rebuilt once from the final state.
 //!
 //! The flip scan is **batched row-major**: all of a commit's flips (adds
 //! first, then removals, in delta order) are evaluated row by row in a
@@ -65,80 +38,14 @@
 //! from-scratch build does.  The canonical entries are iteration-order
 //! independent, so the sparse sweep still lands bit-identical.
 
-use crate::tables::{fill_row, RoutingTables, NO_HOP, UNREACH};
+use crate::tables::{
+    assert_next_delta, collect_flips, row_survives, RoutingTables, SpannerAdj, NO_HOP, UNREACH,
+};
 use rspan_engine::{RspanEngine, SpannerDelta, TopologyChange};
-use rspan_graph::{sorted_insert, sorted_remove, Adjacency, EpochFlags, Node};
+use rspan_graph::{EpochFlags, Node};
 use rspan_obs::{ObsEvent, ObsHandle};
 use rspan_telemetry::{Counter, Hist, Span, TelemetryHandle};
 use std::time::Instant;
-
-/// The augmented view `H_u` assembled from the router's own spanner
-/// adjacency plus the source's incident edges (provided by the caller per
-/// row): for `w != u`, the spanner neighbors of `w` with `u` merged in when
-/// `{u, w} ∈ G`; for the source, all of `u`'s `G`-neighbors.
-pub(crate) struct SparseView<'r> {
-    pub(crate) n: usize,
-    pub(crate) spanner_adj: &'r [Vec<Node>],
-    /// The source's `G`-neighborhood, sorted.
-    pub(crate) src_neighbors: &'r [Node],
-    /// Membership flags for `src_neighbors`.
-    pub(crate) src_adj: &'r EpochFlags,
-    pub(crate) source: Node,
-}
-
-impl Adjacency for SparseView<'_> {
-    fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn for_each_neighbor(&self, w: Node, f: &mut dyn FnMut(Node)) {
-        if w == self.source {
-            for &v in self.src_neighbors {
-                f(v);
-            }
-            return;
-        }
-        let list = &self.spanner_adj[w as usize];
-        if self.src_adj.test(w) {
-            // Merge the source into the sorted spanner list (once: the edge
-            // may also be a spanner edge).
-            let source = self.source;
-            let mut inserted = false;
-            for &v in list {
-                if !inserted && source < v {
-                    f(source);
-                    inserted = true;
-                }
-                if v == source {
-                    inserted = true;
-                }
-                f(v);
-            }
-            if !inserted {
-                f(source);
-            }
-        } else {
-            for &v in list {
-                f(v);
-            }
-        }
-    }
-
-    fn degree_hint(&self, w: Node) -> usize {
-        self.spanner_adj[w as usize].len() + 1
-    }
-
-    fn contains_edge(&self, w: Node, v: Node) -> bool {
-        if w == self.source {
-            self.src_adj.test(v)
-        } else if v == self.source {
-            self.src_adj.test(w)
-        } else {
-            self.spanner_adj[w as usize].binary_search(&v).is_ok()
-        }
-    }
-}
 
 /// What one [`DeltaRouter::apply`] did.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -175,12 +82,9 @@ pub struct DeltaRouter {
     /// `support[u * n + v]` = how many predecessors of `v` realise `v`'s
     /// canonical hop in row `u` (0 for the source and unreached nodes).
     support: Vec<u32>,
-    /// Sorted spanner neighbor lists, maintained from the deltas — the
-    /// sparse substrate every repair sweep runs on.
-    spanner_adj: Vec<Vec<Node>>,
-    queue: Vec<Node>,
-    src_neighbors: Vec<Node>,
-    src_adj: EpochFlags,
+    /// The spanner, maintained from the deltas — the sparse substrate every
+    /// repair sweep runs on.
+    spanner: SpannerAdj,
     affected: EpochFlags,
     affected_rows: Vec<Node>,
     /// The commit's spanner flips flattened for the batched row-major scan:
@@ -196,14 +100,6 @@ impl DeltaRouter {
     /// [`RoutingTables::build`] on a compacted snapshot).
     pub fn new(engine: &RspanEngine) -> Self {
         let n = engine.graph().n();
-        let mut spanner_adj: Vec<Vec<Node>> = vec![Vec::new(); n];
-        for (u, v) in engine.spanner_pairs() {
-            spanner_adj[u as usize].push(v);
-            spanner_adj[v as usize].push(u);
-        }
-        for list in &mut spanner_adj {
-            list.sort_unstable();
-        }
         let mut router = DeltaRouter {
             n,
             epoch: engine.epoch(),
@@ -213,10 +109,7 @@ impl DeltaRouter {
                 dist: vec![UNREACH; n * n],
             },
             support: vec![0; n * n],
-            spanner_adj,
-            queue: Vec::with_capacity(n),
-            src_neighbors: Vec::new(),
-            src_adj: EpochFlags::new(),
+            spanner: SpannerAdj::new(engine),
             affected: EpochFlags::new(),
             affected_rows: Vec::new(),
             flips: Vec::new(),
@@ -232,31 +125,14 @@ impl DeltaRouter {
     /// Recomputes row `u` over the sparse spanner adjacency, with the
     /// source's incident edges read from the engine's live topology.
     fn fill(&mut self, engine: &RspanEngine, u: Node) {
-        let n = self.n;
-        self.src_neighbors.clear();
-        engine
-            .graph()
-            .for_each_neighbor(u, &mut |v| self.src_neighbors.push(v));
-        self.src_adj.begin(n);
-        for &v in &self.src_neighbors {
-            self.src_adj.set(v);
-        }
-        let view = SparseView {
-            n,
-            spanner_adj: &self.spanner_adj,
-            src_neighbors: &self.src_neighbors,
-            src_adj: &self.src_adj,
-            source: u,
-        };
-        let row = u as usize * n;
-        fill_row(
-            &view,
-            u,
-            &mut self.queue,
-            &mut self.tables.next[row..row + n],
-            &mut self.tables.dist[row..row + n],
-            &mut self.support[row..row + n],
-        );
+        let row = u as usize * self.n..(u as usize + 1) * self.n;
+        let next = &mut self.tables.next[row.clone()];
+        let dist = &mut self.tables.dist[row.clone()];
+        let support = &mut self.support[row];
+        next.fill(NO_HOP);
+        dist.fill(UNREACH);
+        support.fill(0);
+        self.spanner.fill(engine, u, UNREACH, next, dist, support);
     }
 
     /// Installs a live telemetry handle: every repair records wall-clock
@@ -311,18 +187,7 @@ impl DeltaRouter {
         delta: &SpannerDelta,
     ) -> RepairStats {
         let repair_start = self.tel.on().then(Instant::now);
-        assert_eq!(
-            delta.epoch,
-            self.epoch + 1,
-            "router missed a delta (have epoch {}, got {})",
-            self.epoch,
-            delta.epoch
-        );
-        assert_eq!(
-            engine.epoch(),
-            delta.epoch,
-            "delta does not match the engine's current epoch"
-        );
+        assert_next_delta(self.epoch, engine, delta);
         let n = self.n;
         self.affected.begin(n);
         self.affected_rows.clear();
@@ -334,18 +199,14 @@ impl DeltaRouter {
             self.mark(b);
         }
         let marked_batch = self.affected_rows.len();
-        // Spanner flips: O(1) column reads per (row, flip) decide who
-        // recomputes — exactly (see the module docs), with the in-place
-        // support updates keeping skipped rows correct for the next flip of
-        // the same row.  The scan is batched row-major: one pass over the
-        // table evaluates every flip against a row while its entries are
-        // cache-resident, stopping at the first marking flip, instead of
-        // one full table pass per flip.
-        self.flips.clear();
-        self.flips
-            .extend(delta.added.iter().map(|&(x, y)| (x, y, true)));
-        self.flips
-            .extend(delta.removed.iter().map(|&(x, y)| (x, y, false)));
+        // Spanner flips: O(1) column reads per (row, flip) decide exactly
+        // who recomputes (`row_survives`), with the in-place support updates
+        // keeping skipped rows correct for the next flip of the same row.
+        // The scan is batched row-major: one pass over the table evaluates
+        // every flip against a row while its entries are cache-resident,
+        // stopping at the first marking flip, instead of one full table pass
+        // per flip.
+        collect_flips(delta, &mut self.flips);
         let mut span = self.tel.span(Span::RepairSweep);
         span.add_items(self.flips.len() as u64);
         if !self.flips.is_empty() {
@@ -353,67 +214,22 @@ impl DeltaRouter {
                 if self.affected.test(u) {
                     continue;
                 }
-                let row = u as usize * n;
-                for fi in 0..self.flips.len() {
-                    let (x, y, is_add) = self.flips[fi];
-                    if u == x || u == y {
-                        continue;
-                    }
-                    let dx = self.tables.dist[row + x as usize];
-                    let dy = self.tables.dist[row + y as usize];
-                    if dx == dy {
-                        continue;
-                    }
-                    let (lo, hi) = if dx < dy { (x, y) } else { (y, x) };
-                    let hop_lo = self.tables.next[row + lo as usize];
-                    let hop_hi = self.tables.next[row + hi as usize];
-                    if is_add {
-                        let (dlo, dhi) = if dx < dy { (dx, dy) } else { (dy, dx) };
-                        if dhi != UNREACH && dhi - dlo == 1 {
-                            if hop_lo > hop_hi {
-                                continue; // hi's canonical hop already beats lo's
-                            }
-                            if hop_lo == hop_hi {
-                                // One more predecessor realises the same hop.
-                                self.support[row + hi as usize] += 1;
-                                continue;
-                            }
-                        }
-                    } else {
-                        if hop_lo > hop_hi {
-                            continue; // lo never realised hi's canonical hop
-                        }
-                        debug_assert_eq!(
-                            hop_lo, hop_hi,
-                            "a predecessor's hop can never beat its successor's"
-                        );
-                        let support = &mut self.support[row + hi as usize];
-                        if *support >= 2 {
-                            *support -= 1; // another predecessor keeps hop and distance
-                            continue;
-                        }
-                    }
+                let row = u as usize * n..(u as usize + 1) * n;
+                if !row_survives(
+                    u,
+                    &self.flips,
+                    &self.tables.next[row.clone()],
+                    &self.tables.dist[row.clone()],
+                    &mut self.support[row],
+                ) {
                     self.mark(u);
-                    break; // later flips cannot unmark; the row rebuilds once
                 }
             }
         }
         drop(span);
 
-        // Update the sparse spanner adjacency, then rebuild the marked rows
-        // over the post-flip structure.
-        for &(x, y) in &delta.removed {
-            let ok = sorted_remove(&mut self.spanner_adj[x as usize], y)
-                && sorted_remove(&mut self.spanner_adj[y as usize], x);
-            assert!(
-                ok,
-                "spanner adjacency is missing the removed edge ({x}, {y})"
-            );
-        }
-        for &(x, y) in &delta.added {
-            sorted_insert(&mut self.spanner_adj[x as usize], y);
-            sorted_insert(&mut self.spanner_adj[y as usize], x);
-        }
+        // Rebuild the marked rows over the post-flip spanner.
+        self.spanner.apply(delta);
         let mut span = self.tel.span(Span::RepairFill);
         let rows = std::mem::take(&mut self.affected_rows);
         for &u in &rows {
@@ -472,15 +288,28 @@ impl DeltaRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::fresh_rows;
     use rspan_domtree::TreeAlgo;
     use rspan_graph::generators::er::gnp_connected;
     use rspan_graph::generators::structured::{cycle_graph, grid_graph};
 
+    /// The tables must equal a from-scratch build, and the support column —
+    /// which every later flip decision reads — a fresh fill, row by row.
     fn assert_matches_full_build(router: &DeltaRouter, engine: &RspanEngine, context: &str) {
         let csr = engine.to_csr();
         let spanner = engine.spanner_on(&csr);
         let full = RoutingTables::build(&spanner);
         assert_eq!(router.tables(), &full, "{context}");
+        let (_, _, support) = fresh_rows(&spanner);
+        let n = router.n();
+        for u in 0..n {
+            let row = u * n..(u + 1) * n;
+            assert_eq!(
+                router.support[row.clone()],
+                support[row],
+                "{context}: support of row {u}"
+            );
+        }
     }
 
     #[test]
@@ -509,6 +338,24 @@ mod tests {
             assert!(stats.rows_recomputed >= 2, "endpoint rows always repair");
             assert_matches_full_build(&router, &engine, "after flip");
         }
+    }
+
+    #[test]
+    fn support_stays_exact_under_multi_flip_link_flaps() {
+        use rspan_engine::{ChurnScenario, LinkFlapScenario};
+        let g = gnp_connected(60, 0.08, 11);
+        let mut engine = RspanEngine::new(g.clone(), TreeAlgo::KGreedy { k: 2 });
+        let mut router = DeltaRouter::new(&engine);
+        let mut scenario = LinkFlapScenario::new(&g, 3.0, 11);
+        let mut multi_flip = 0usize;
+        for round in 0..12 {
+            let batch = scenario.next_batch(engine.graph());
+            let delta = engine.commit(&batch);
+            multi_flip += usize::from(delta.added.len() + delta.removed.len() >= 2);
+            router.apply(&engine, &batch, &delta);
+            assert_matches_full_build(&router, &engine, &format!("round {round}"));
+        }
+        assert!(multi_flip > 0, "no commit flipped two spanner edges");
     }
 
     #[test]

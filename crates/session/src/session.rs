@@ -32,7 +32,6 @@ use rspan_graph::{bfs_into, CsrGraph, Node, Subgraph, TraversalScratch};
 use rspan_obs::{ObsConfig, ObsEvent, ObsHandle, ObsReport};
 use rspan_telemetry::{Histogram, TelemetryHandle, TelemetrySnapshot};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// XOR-folded into the simulator seed to derive the [`SeededAuth`] master
 /// key, so the MAC keys and the event draws come from decoupled streams.
@@ -110,12 +109,6 @@ pub struct StepReport {
     /// The compact-routing repair performed from that delta, when
     /// [`Repair::Local`] is configured.
     pub local_repair: Option<LocalRepairStats>,
-    /// Wall nanoseconds of the engine commit (0 under the async scheduler,
-    /// whose timing is virtual).
-    pub commit_ns: u64,
-    /// Wall nanoseconds of the routing repair (0 without delta routing or
-    /// under the async scheduler).
-    pub repair_ns: u64,
     /// The async scheduler's per-round transcript entry (its `quiesced_at`
     /// is filled at the *next* boundary), `None` under the sync scheduler.
     pub round: Option<RoundReport>,
@@ -900,21 +893,11 @@ impl Session {
         if self.obs.on() {
             self.obs.set_now(self.rounds as VTime);
         }
-        let start = Instant::now();
         let delta = self.engine.commit_parallel(batch, self.threads);
-        let commit_ns = start.elapsed().as_nanos() as u64;
-        let (repair, local_repair, repair_ns) = match &mut self.router {
-            RouterState::None => (None, None, 0),
-            RouterState::Delta(router) => {
-                let start = Instant::now();
-                let stats = router.apply(&self.engine, batch, &delta);
-                (Some(stats), None, start.elapsed().as_nanos() as u64)
-            }
-            RouterState::Local(router) => {
-                let start = Instant::now();
-                let stats = router.apply(&self.engine, batch, &delta);
-                (None, Some(stats), start.elapsed().as_nanos() as u64)
-            }
+        let (repair, local_repair) = match &mut self.router {
+            RouterState::None => (None, None),
+            RouterState::Delta(router) => (Some(router.apply(&self.engine, batch, &delta)), None),
+            RouterState::Local(router) => (None, Some(router.apply(&self.engine, batch, &delta))),
         };
         if self.flood {
             let run = restabilise_flood(&self.engine, &delta);
@@ -929,8 +912,6 @@ impl Session {
             delta,
             repair,
             local_repair,
-            commit_ns,
-            repair_ns,
             round: None,
         }
     }
@@ -1049,8 +1030,6 @@ impl Session {
             delta: committed.delta,
             repair,
             local_repair,
-            commit_ns: 0,
-            repair_ns: 0,
             round: Some(committed.report),
         })
     }
