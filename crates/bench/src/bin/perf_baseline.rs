@@ -35,9 +35,10 @@
 //!     exact-query loop, and measured stretch percentiles against true
 //!     graph distances (asserted within [`STRETCH_BOUND`]); at `n ≤ 4000`
 //!     the cached exact rows are additionally asserted identical to a dense
-//!     `RoutingTables::build`.  The n = 100 000 row is the table-wall
-//!     headline: sublinear state where the dense build no longer fits the
-//!     benchmark budget.
+//!     `RoutingTables::build`, and at every `n` each node's repaired
+//!     home-landmark label to a freshly built router's.  The n = 100 000
+//!     row is the table-wall headline: sublinear state where the dense
+//!     build no longer fits the benchmark budget.
 //! * **async_churn** — the `rspan-asim` event simulator driving §2.3 repair
 //!   waves under four scenario families: a **loss sweep** (link-flap churn,
 //!   Bernoulli loss with bounded retransmission), a **latency sweep** (UDG
@@ -113,7 +114,7 @@ use rspan_asim::{
 };
 use rspan_bench::scaled_density_udg;
 use rspan_core::{rem_span, rem_span_algo};
-use rspan_distributed::RoutingTables;
+use rspan_distributed::{CompactRouter, RoutingTables};
 use rspan_domtree::{dom_tree_k_greedy, TreeAlgo};
 use rspan_engine::{
     ChurnScenario, JoinLeaveScenario, LinkFlapScenario, MobilityScenario, RspanEngine,
@@ -560,7 +561,8 @@ fn routing_churn_rows(quick: bool, seed: u64) -> Vec<String> {
 /// The compact-routing trajectory: `Repair::Local` sessions under the same
 /// link-flap regime, measuring per-node state against the dense tables,
 /// cache traffic, repair time and measured stretch; exact queries verified
-/// bit-identical to a dense `RoutingTables::build` at small `n`.
+/// bit-identical to a dense `RoutingTables::build` at small `n`, and every
+/// node's home-landmark label equal to a freshly built router's at every `n`.
 fn route_local_rows(quick: bool, seed: u64, mut trace: Option<&mut Vec<String>>) -> Vec<String> {
     // (n, churn rounds, stretch samples)
     let sizes: &[(usize, usize, usize)] = if quick {
@@ -681,6 +683,17 @@ fn route_local_rows(quick: bool, seed: u64, mut trace: Option<&mut Vec<String>>)
             local.stretch_p50,
             local.stretch_p99,
         );
+        // The labels the repairs kept, against a fresh build's, on every
+        // node.
+        let router = session.local_router().expect("local routing configured");
+        let fresh = CompactRouter::new(session.engine(), LocalConfig::default());
+        for v in 0..n as Node {
+            assert_eq!(
+                (router.home_landmark(v), router.landmark_distance(v)),
+                (fresh.home_landmark(v), fresh.landmark_distance(v)),
+                "route_local n={n}: the repaired label of {v} diverged from a fresh build"
+            );
+        }
         rows.push(with_phase_fields(row, &pre));
         if let Some(lines) = trace.as_deref_mut() {
             let (_, report) = session.finish_observed();

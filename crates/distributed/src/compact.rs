@@ -18,10 +18,15 @@
 //!   ids plus the minimum node of every spanner component, so every
 //!   reachable target has a reachable landmark), each carrying one BFS tree
 //!   over the **pure spanner** adjacency: depths and canonical (minimum-id)
-//!   parents.  Far targets resolve a *home landmark* (closest by tree
-//!   distance) and route up/down its tree: walking the target up to one
-//!   level below the current node decides descend-vs-ascend statelessly at
-//!   every hop, in at most the target's landmark distance;
+//!   parents.  Every node also carries a *label*: the index and tree
+//!   distance of its *home landmark* (closest by tree distance, ties to the
+//!   smallest landmark id), so a far target's home is one array read.  Far
+//!   targets route up/down their home landmark's tree: the target's
+//!   ancestor one level below the current node decides descend-vs-ascend
+//!   statelessly at every hop.  [`CompactRouter::next_hop`] walks the
+//!   target up to that ancestor, at most the target's landmark distance;
+//!   [`CompactRouter::forward`] resolves the target's ancestor chain once,
+//!   so each of its tree hops is one lookup;
 //! * an **LRU row cache** for hot destinations: [`CompactRouter::exact_next_hop`]
 //!   materialises a full canonical row on demand (the scratch-pool epoch
 //!   idiom — epoch-stamped slots, sentinel slot map), and each commit
@@ -30,7 +35,7 @@
 //!   dense rows, so surviving rows never go stale.
 //!
 //! Per-node state is `Õ(ball + landmarks)`:
-//! `12·|ball| + 8·L + 12·cache_capacity` bytes instead of the dense `8n`.
+//! `12·|ball| + 8·L + 8 + 12·cache_capacity` bytes instead of the dense `8n`.
 //!
 //! # Delivery and stretch
 //!
@@ -64,6 +69,13 @@
 //!   (dynamic BFS in the Even–Shiloach / Ramalingam–Reps style): only nodes
 //!   whose depth or canonical parent changes are moved, bit-identical to a
 //!   rebuild.  Newly elected landmarks get a fresh BFS tree;
+//! * **labels** follow the tree repairs: a node whose depth changed in some
+//!   tree is folded into its label in O(1) (a smaller distance, or an equal
+//!   one from a smaller landmark index, takes the label over), and only a
+//!   node whose home tree got deeper or lost it is rescanned over all
+//!   trees, once, after every tree is repaired.  A changed landmark set (its
+//!   indices shift) or a defensive tree rebuild relabels every node in one
+//!   tree-major pass;
 //! * **cached rows** run the exact flip predicate `tables::row_survives`
 //!   (with in-place support maintenance) and drop only the rows a flip
 //!   actually changes, plus the rows of batch endpoints; survivors are
@@ -142,9 +154,9 @@ struct BallEntry {
 }
 
 /// One landmark's BFS tree over the pure spanner: distances and canonical
-/// (minimum-id) parents.  Whether a hop descends or ascends is read off an
-/// ancestor walk ([`tree_hop`]), so re-parenting a subtree touches only the
-/// nodes whose depth or parent changed.
+/// (minimum-id) parents.  Whether a hop descends or ascends is read off the
+/// target's ancestors ([`tree_hop`], [`chain_hop`]), so re-parenting a
+/// subtree touches only the nodes whose depth or parent changed.
 struct LandmarkTree {
     root: Node,
     dist: Vec<u32>,
@@ -159,6 +171,36 @@ impl LandmarkTree {
             parent: Vec::new(),
         }
     }
+}
+
+/// A node's home landmark: its tree distance and its index into the
+/// landmark set.  Fields compare in that order, so the smallest label over
+/// all trees is the home under the tie rule: smallest distance, then
+/// smallest index, which is the smallest landmark id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Label {
+    dist: u32,
+    home: u32,
+}
+
+impl Label {
+    /// No tree reaches the node.
+    const NONE: Label = Label {
+        dist: UNREACH,
+        home: u32::MAX,
+    };
+}
+
+/// What [`repair_tree`] did to a tree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TreeRepair {
+    /// No flip can change the tree; nothing was touched.
+    Unchanged,
+    /// Repaired in place: the scratch's `moved` list holds every node whose
+    /// depth was rewritten, with its depth before the repair.
+    InPlace,
+    /// Rebuilt from scratch: a flip contradicted the tree's bookkeeping.
+    Rebuilt,
 }
 
 /// Scratch for [`rebuild_tree`] and [`repair_tree`], pooled on the router.
@@ -221,8 +263,7 @@ fn rebuild_tree(tree: &mut LandmarkTree, adj: &[Vec<Node>], queue: &mut Vec<Node
 
 /// Repairs `tree` in place for the spanner `flips` (`(x, y, added)`), `adj`
 /// being the post-flip adjacency, so that it equals [`rebuild_tree`] over
-/// `adj`.  Returns `false`, touching nothing, when no flip can change the
-/// tree.
+/// `adj`, and reports which way it went ([`TreeRepair`]).
 ///
 /// 1. *Seed* each flip on the pre-flip tree, by depth, lower end `lo`,
 ///    higher end `hi`: a removed parent edge makes `hi` a candidate for a
@@ -247,7 +288,7 @@ fn repair_tree(
     adj: &[Vec<Node>],
     flips: &[(Node, Node, bool)],
     s: &mut TreeScratch,
-) -> bool {
+) -> TreeRepair {
     let n = adj.len();
     s.heap.clear();
     let mut seeded = false;
@@ -277,11 +318,11 @@ fn repair_tree(
             // A present tree edge forces Δ ≤ 1 with both ends reachable;
             // anything else is a bookkeeping bug — rebuild defensively.
             rebuild_tree(tree, adj, &mut s.queue);
-            return true;
+            return TreeRepair::Rebuilt;
         }
     }
     if !seeded {
-        return false;
+        return TreeRepair::Unchanged;
     }
     let LandmarkTree { root, dist, parent } = tree;
 
@@ -364,13 +405,14 @@ fn repair_tree(
                 .expect("a reachable non-root node has a neighbour one level up")
         };
     }
-    true
+    TreeRepair::InPlace
 }
 
 /// Next hop from `w` toward `dst` along `tree` (both reachable in the tree,
 /// `w != dst`): the child of `w` on the tree path when `dst` lies below `w`,
 /// `parent[w]` otherwise.  Walks `dst` up to depth `dist[w] + 1`, at most
-/// `dist[dst]` steps.
+/// `dist[dst]` steps; [`chain_hop`] is the same hop with that walk done
+/// once per route.
 fn tree_hop(tree: &LandmarkTree, w: Node, dst: Node) -> Node {
     let dw = tree.dist[w as usize];
     let mut a = dst;
@@ -385,6 +427,219 @@ fn tree_hop(tree: &LandmarkTree, w: Node, dst: Node) -> Node {
         }
     }
     tree.parent[w as usize]
+}
+
+/// `dst`'s ancestors in `tree` by depth: `chain[d]` is the one at depth
+/// `d`, from the root to `dst` itself (`dst` reachable in the tree).
+fn ancestor_chain(tree: &LandmarkTree, dst: Node) -> Vec<Node> {
+    let mut chain = vec![NO_HOP; tree.dist[dst as usize] as usize + 1];
+    let mut a = dst;
+    for slot in chain.iter_mut().rev() {
+        *slot = a;
+        a = tree.parent[a as usize];
+    }
+    chain
+}
+
+/// [`tree_hop`] toward the last node of `chain`, that node's
+/// [`ancestor_chain`]: the ancestor one level below `w` is one lookup.
+fn chain_hop(tree: &LandmarkTree, chain: &[Node], w: Node) -> Node {
+    let dw = tree.dist[w as usize];
+    if (dw as usize) < chain.len() - 1 {
+        let a = chain[dw as usize + 1];
+        if tree.parent[a as usize] == w {
+            return a;
+        }
+    }
+    tree.parent[w as usize]
+}
+
+/// The landmark set, one tree per landmark and every node's [`Label`],
+/// kept in step with the spanner by [`Landmarks::update`].
+struct Landmarks {
+    /// Landmark ids, sorted ascending.
+    roots: Vec<Node>,
+    /// Trees aligned with `roots`.
+    trees: Vec<LandmarkTree>,
+    /// Per node, its home among `trees`.
+    labels: Vec<Label>,
+    /// Retired trees, recycled for newly elected landmarks.
+    spare: Vec<LandmarkTree>,
+    scratch: TreeScratch,
+    /// Nodes whose home tree got deeper or lost them during an update.
+    rescan: Vec<Node>,
+}
+
+impl Landmarks {
+    /// A tree per root over `adj`, and every node labelled.
+    fn new(roots: Vec<Node>, adj: &[Vec<Node>]) -> Self {
+        let mut landmarks = Landmarks {
+            roots: Vec::new(),
+            trees: Vec::new(),
+            labels: vec![Label::NONE; adj.len()],
+            spare: Vec::new(),
+            scratch: TreeScratch::default(),
+            rescan: Vec::new(),
+        };
+        landmarks.update(roots, adj, &[]);
+        landmarks
+    }
+
+    /// `v`'s home: its index into the landmark set and its tree distance.
+    fn home(&self, v: Node) -> Option<(usize, u32)> {
+        let label = self.labels[v as usize];
+        (label.dist != UNREACH).then_some((label.home as usize, label.dist))
+    }
+
+    /// Moves to the landmark set `roots` over the post-flip adjacency `adj`:
+    /// kept trees are repaired in place for `flips`, new landmarks get a
+    /// fresh tree, and demoted ones retire theirs into the spare pool.
+    /// Labels follow the in-place repairs node by node; a changed landmark
+    /// set or a defensive rebuild relabels every node.  Returns the trees
+    /// repaired or built.
+    fn update(
+        &mut self,
+        roots: Vec<Node>,
+        adj: &[Vec<Node>],
+        flips: &[(Node, Node, bool)],
+    ) -> usize {
+        let old_roots = std::mem::replace(&mut self.roots, roots);
+        let mut old_trees: Vec<Option<LandmarkTree>> = std::mem::take(&mut self.trees)
+            .into_iter()
+            .map(Some)
+            .collect();
+        // Indices shift with the set, so labels can follow only a kept one.
+        let mut relabel = self.roots != old_roots;
+        self.rescan.clear();
+        let mut touched = 0usize;
+        for i in 0..self.roots.len() {
+            let root = self.roots[i];
+            let kept = old_roots
+                .binary_search(&root)
+                .ok()
+                .and_then(|j| old_trees[j].take());
+            let tree = match kept {
+                Some(mut tree) => {
+                    match repair_tree(&mut tree, adj, flips, &mut self.scratch) {
+                        TreeRepair::Unchanged => {}
+                        TreeRepair::InPlace => {
+                            touched += 1;
+                            if !relabel {
+                                self.follow(i, &tree);
+                            }
+                        }
+                        TreeRepair::Rebuilt => {
+                            touched += 1;
+                            relabel = true;
+                        }
+                    }
+                    tree
+                }
+                None => {
+                    touched += 1;
+                    let mut tree = match self.spare.pop() {
+                        Some(mut tree) => {
+                            tree.root = root;
+                            tree
+                        }
+                        None => LandmarkTree::empty(root),
+                    };
+                    rebuild_tree(&mut tree, adj, &mut self.scratch.queue);
+                    tree
+                }
+            };
+            self.trees.push(tree);
+        }
+        self.spare.extend(old_trees.into_iter().flatten());
+        if relabel {
+            self.relabel_all();
+        } else {
+            self.relabel_rescans();
+        }
+        touched
+    }
+
+    /// Folds tree `i`'s in-place repair (the scratch's `moved` nodes) into
+    /// the labels, O(1) a node: a smaller label from this tree takes over,
+    /// and a node whose home is this tree and got deeper, or lost it, is
+    /// queued for a rescan.  Only the home tree can invalidate a label: any
+    /// other tree was at least as far, so its change matters only if it now
+    /// is nearer.  Only a node's home from before the update can queue it
+    /// (a tree that takes a label over is being followed, once), so a node
+    /// is queued at most once an update.
+    fn follow(&mut self, i: usize, tree: &LandmarkTree) {
+        let home = i as u32;
+        for &(v, old) in &self.scratch.moved {
+            let dist = tree.dist[v as usize];
+            let label = &mut self.labels[v as usize];
+            if label.home == home && dist > old {
+                self.rescan.push(v);
+            } else if (Label { dist, home }) < *label {
+                *label = Label { dist, home };
+            }
+        }
+    }
+
+    /// Relabels the queued nodes, each by a scan over all trees.
+    fn relabel_rescans(&mut self) {
+        for &v in &self.rescan {
+            let mut best = Label::NONE;
+            for (i, tree) in self.trees.iter().enumerate() {
+                let dist = tree.dist[v as usize];
+                if dist < best.dist {
+                    best = Label {
+                        dist,
+                        home: i as u32,
+                    };
+                }
+            }
+            self.labels[v as usize] = best;
+        }
+    }
+
+    /// Relabels every node in one tree-major pass: trees in index order
+    /// and a strict `<` keep the smallest index among the closest.
+    fn relabel_all(&mut self) {
+        self.labels.fill(Label::NONE);
+        for (i, tree) in self.trees.iter().enumerate() {
+            for (label, &dist) in self.labels.iter_mut().zip(&tree.dist) {
+                if dist < label.dist {
+                    *label = Label {
+                        dist,
+                        home: i as u32,
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// The landmark set for `spanner`: a stride sample of `target` node ids
+/// (`⌈√n⌉` when 0) plus the minimum node of every spanner component (so
+/// every reachable target resolves a home), sorted ascending.
+fn elect_landmarks(spanner: &SpannerAdj, target: usize) -> Vec<Node> {
+    let n = spanner.lists().len();
+    let target = if target > 0 {
+        target
+    } else {
+        (n as f64).sqrt().ceil() as usize
+    }
+    .clamp(1, n.max(1));
+    let stride = (n / target).max(1);
+    let mut landmarks: Vec<Node> = (0..n).step_by(stride).map(|u| u as Node).collect();
+    let comp = connected_components(spanner);
+    // Component ids are assigned in node order, so the first node seen with
+    // a given id is that component's minimum.
+    let mut next_comp = 0usize;
+    for (v, &c) in comp.iter().enumerate() {
+        if c == next_comp {
+            landmarks.push(v as Node);
+            next_comp += 1;
+        }
+    }
+    landmarks.sort_unstable();
+    landmarks.dedup();
+    landmarks
 }
 
 /// One cached full row: the canonical next hops, distances and supports of a
@@ -470,13 +725,9 @@ pub struct CompactRouter {
     spanner: SpannerAdj,
     /// Per-node exact ball rows, sorted by destination.
     balls: Vec<Vec<BallEntry>>,
-    /// Current landmark set, sorted ascending.
-    landmarks: Vec<Node>,
-    /// Trees aligned with `landmarks`.
-    trees: Vec<LandmarkTree>,
+    landmarks: Landmarks,
     cache: RowCache,
     // Scratch pools (epoch-stamped where flag-shaped).
-    tree_scratch: TreeScratch,
     /// Ball-fill rows, at the sentinels between fills.
     tmp_next: Vec<Node>,
     tmp_dist: Vec<u32>,
@@ -486,7 +737,6 @@ pub struct CompactRouter {
     dirty_list: Vec<Node>,
     endpoint_seen: EpochFlags,
     flips: Vec<(Node, Node, bool)>,
-    spare_trees: Vec<LandmarkTree>,
     /// Wall time spent materialising rows since the last commit (measured
     /// only with telemetry on), flushed into [`Span::Materialize`] at the
     /// next [`CompactRouter::apply`].
@@ -501,20 +751,21 @@ pub struct CompactRouter {
 
 impl CompactRouter {
     /// Builds the compact state for the engine's *current* spanner and
-    /// topology: every ball row, the landmark set and all landmark trees.
+    /// topology: every ball row, the landmark set, all landmark trees and
+    /// every node's label.
     pub fn new(engine: &RspanEngine, cfg: LocalConfig) -> Self {
         let n = engine.graph().n();
+        let spanner = SpannerAdj::new(engine);
+        let landmarks = Landmarks::new(elect_landmarks(&spanner, cfg.landmarks), spanner.lists());
         let mut router = CompactRouter {
             n,
             epoch: engine.epoch(),
             radius: engine.dirty_radius().max(1),
             cfg,
-            spanner: SpannerAdj::new(engine),
+            spanner,
             balls: vec![Vec::new(); n],
-            landmarks: Vec::new(),
-            trees: Vec::new(),
+            landmarks,
             cache: RowCache::new(n, cfg.cache_capacity),
-            tree_scratch: TreeScratch::default(),
             tmp_next: vec![NO_HOP; n],
             tmp_dist: vec![UNREACH; n],
             tmp_support: vec![0; n],
@@ -523,7 +774,6 @@ impl CompactRouter {
             dirty_list: Vec::new(),
             endpoint_seen: EpochFlags::new(),
             flips: Vec::new(),
-            spare_trees: Vec::new(),
             pending_materialize_ns: 0,
             cache_mark: CacheStats::default(),
             tel: TelemetryHandle::off(),
@@ -532,17 +782,6 @@ impl CompactRouter {
         };
         for u in 0..n as Node {
             router.fill_ball(engine, u);
-        }
-        router.elect_landmarks();
-        let roots = router.landmarks.clone();
-        for root in roots {
-            let mut tree = router.spare_tree(root);
-            rebuild_tree(
-                &mut tree,
-                router.spanner.lists(),
-                &mut router.tree_scratch.queue,
-            );
-            router.trees.push(tree);
         }
         router
     }
@@ -581,7 +820,7 @@ impl CompactRouter {
 
     /// The current landmark set, sorted ascending.
     pub fn landmarks(&self) -> &[Node] {
-        &self.landmarks
+        &self.landmarks.roots
     }
 
     /// Cache traffic counters (monotonic).
@@ -595,33 +834,28 @@ impl CompactRouter {
     }
 
     /// Total compact routing state in bytes: ball entries (12 B each),
-    /// landmark trees (8 B per node per tree) and the row cache at
-    /// capacity (12 B per destination per slot).
+    /// landmark trees (8 B per node per tree), the per-node home labels
+    /// (8 B each) and the row cache at capacity (12 B per destination per
+    /// slot).
     pub fn state_bytes(&self) -> usize {
         self.ball_entries() * 12
-            + self.trees.len() * self.n * 8
+            + self.landmarks.trees.len() * self.n * 8
+            + self.n * 8
             + self.cfg.cache_capacity * self.n * 12
     }
 
     /// Tree distance from `dst` to its home landmark (`None` if no landmark
     /// reaches `dst`, i.e. `dst` is isolated from every component minimum —
-    /// impossible for reachable pairs).
+    /// impossible for reachable pairs).  One read of `dst`'s label.
     pub fn landmark_distance(&self, dst: Node) -> Option<u32> {
-        self.home_landmark(dst)
-            .map(|h| self.trees[h].dist[dst as usize])
+        self.landmarks.home(dst).map(|(_, d)| d)
     }
 
     /// Index (into [`CompactRouter::landmarks`]) of `dst`'s home landmark:
-    /// the closest by tree distance, ties to the smallest landmark id.
+    /// the closest by tree distance, ties to the smallest landmark id.  One
+    /// read of `dst`'s label, which every repair keeps current.
     pub fn home_landmark(&self, dst: Node) -> Option<usize> {
-        let mut best: Option<(u32, usize)> = None;
-        for (i, tree) in self.trees.iter().enumerate() {
-            let d = tree.dist[dst as usize];
-            if d != UNREACH && best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, i));
-            }
-        }
-        best.map(|(_, i)| i)
+        self.landmarks.home(dst).map(|(h, _)| h)
     }
 
     /// Exact ball lookup: the canonical next hop from `u` toward `v` when
@@ -646,8 +880,8 @@ impl CompactRouter {
         if let Some(hop) = self.ball_hop(u, v) {
             return Some(hop);
         }
-        let home = self.home_landmark(v)?;
-        let tree = &self.trees[home];
+        let (home, _) = self.landmarks.home(v)?;
+        let tree = &self.landmarks.trees[home];
         if tree.dist[u as usize] == UNREACH {
             return None;
         }
@@ -655,24 +889,30 @@ impl CompactRouter {
     }
 
     /// Forwards a packet from `s` to `t` hop by hop (ball hops while `t` is
-    /// ball-visible, home-landmark tree hops otherwise), resolving the home
-    /// landmark once.  Returns the full path, or `None` if unreachable.
+    /// ball-visible, home-landmark tree hops otherwise).  The home landmark
+    /// and `t`'s ancestor chain in its tree are resolved once, so each tree
+    /// hop is one lookup and answers as [`CompactRouter::next_hop`] would.
+    /// Returns the full path, or `None` if unreachable.
     pub fn forward(&self, s: Node, t: Node) -> Option<Vec<Node>> {
         if s == t {
             return Some(vec![s]);
         }
-        let home = self.home_landmark(t)?;
-        let tree = &self.trees[home];
-        if tree.dist[s as usize] == UNREACH {
+        let (home, dt) = self.landmarks.home(t)?;
+        let tree = &self.landmarks.trees[home];
+        let ds = tree.dist[s as usize];
+        if ds == UNREACH {
             return None;
         }
-        let mut path = vec![s];
+        let chain = ancestor_chain(tree, t);
+        // The landmark bound d_T(s, ℓ*) + d_T(ℓ*, t) caps the hops.
+        let mut path = Vec::with_capacity(ds as usize + dt as usize + 1);
+        path.push(s);
         let mut w = s;
         let limit = 2 * self.n + 2;
         while w != t {
             let hop = match self.ball_hop(w, t) {
                 Some(hop) => hop,
-                None => tree_hop(tree, w, t),
+                None => chain_hop(tree, &chain, w),
             };
             path.push(hop);
             w = hop;
@@ -772,53 +1012,17 @@ impl CompactRouter {
         span.add_items(ball_rows as u64);
         drop(span);
 
-        // Landmark set + trees: pure functions of the spanner, so only a
-        // spanner flip touches them.  Re-elect (component structure may have
-        // changed), repair kept trees in place, build trees of new
-        // landmarks, retire trees of demoted landmarks into the spare pool.
+        // Landmark set, trees and labels: pure functions of the spanner, so
+        // only a spanner flip touches them.  Re-elect (component structure
+        // may have changed), then repair trees and labels in place.
         let mut span = self.tel.span(Span::LandmarkRepair);
-        let mut trees_touched = 0usize;
-        if !self.flips.is_empty() {
-            let old_landmarks = std::mem::take(&mut self.landmarks);
-            let mut old_trees: Vec<Option<LandmarkTree>> = std::mem::take(&mut self.trees)
-                .into_iter()
-                .map(Some)
-                .collect();
-            self.elect_landmarks();
-            let landmarks = std::mem::take(&mut self.landmarks);
-            for &root in &landmarks {
-                let kept = old_landmarks
-                    .binary_search(&root)
-                    .ok()
-                    .and_then(|i| old_trees[i].take());
-                let tree = match kept {
-                    Some(mut tree) => {
-                        if repair_tree(
-                            &mut tree,
-                            self.spanner.lists(),
-                            &self.flips,
-                            &mut self.tree_scratch,
-                        ) {
-                            trees_touched += 1;
-                        }
-                        tree
-                    }
-                    None => {
-                        trees_touched += 1;
-                        let mut tree = self.spare_tree(root);
-                        rebuild_tree(
-                            &mut tree,
-                            self.spanner.lists(),
-                            &mut self.tree_scratch.queue,
-                        );
-                        tree
-                    }
-                };
-                self.trees.push(tree);
-            }
-            self.landmarks = landmarks;
-            self.spare_trees.extend(old_trees.into_iter().flatten());
-        }
+        let trees_touched = if self.flips.is_empty() {
+            0
+        } else {
+            let roots = elect_landmarks(&self.spanner, self.cfg.landmarks);
+            self.landmarks
+                .update(roots, self.spanner.lists(), &self.flips)
+        };
         span.add_items(trees_touched as u64);
         drop(span);
 
@@ -853,7 +1057,7 @@ impl CompactRouter {
                 epoch: delta.epoch,
                 ball_rows: ball_rows as u32,
                 landmark_trees: trees_touched as u32,
-                landmarks: self.landmarks.len() as u32,
+                landmarks: self.landmarks.roots.len() as u32,
                 cache_dropped: cache_invalidated as u32,
                 cache_hits: (s.hits - m.hits) as u32,
                 cache_misses: (s.misses - m.misses) as u32,
@@ -900,48 +1104,6 @@ impl CompactRouter {
             self.tmp_next[v as usize] = NO_HOP;
             self.tmp_dist[v as usize] = UNREACH;
             self.tmp_support[v as usize] = 0;
-        }
-    }
-
-    /// Elects the landmark set for the current spanner: a stride sample of
-    /// `max(cfg.landmarks, ⌈√n⌉ when 0)` node ids plus the minimum node of
-    /// every spanner component (so every reachable target resolves a home).
-    fn elect_landmarks(&mut self) {
-        let n = self.n;
-        self.landmarks.clear();
-        let target = if self.cfg.landmarks > 0 {
-            self.cfg.landmarks
-        } else {
-            (n as f64).sqrt().ceil() as usize
-        }
-        .clamp(1, n.max(1));
-        let stride = (n / target).max(1);
-        let mut u = 0usize;
-        while u < n {
-            self.landmarks.push(u as Node);
-            u += stride;
-        }
-        let comp = connected_components(&self.spanner);
-        // Component ids are assigned in node order, so the first node seen
-        // with a given id is that component's minimum.
-        let mut next_comp = 0usize;
-        for (v, &c) in comp.iter().enumerate() {
-            if c == next_comp {
-                self.landmarks.push(v as Node);
-                next_comp += 1;
-            }
-        }
-        self.landmarks.sort_unstable();
-        self.landmarks.dedup();
-    }
-
-    fn spare_tree(&mut self, root: Node) -> LandmarkTree {
-        match self.spare_trees.pop() {
-            Some(mut tree) => {
-                tree.root = root;
-                tree
-            }
-            None => LandmarkTree::empty(root),
         }
     }
 
@@ -1307,8 +1469,9 @@ mod tests {
     fn assert_trees_match_rebuild(router: &CompactRouter, engine: &RspanEngine, context: &str) {
         let adj = SpannerAdj::new(engine);
         let mut queue = Vec::new();
-        assert_eq!(router.trees.len(), router.landmarks.len(), "{context}");
-        for (tree, &root) in router.trees.iter().zip(&router.landmarks) {
+        let landmarks = &router.landmarks;
+        assert_eq!(landmarks.trees.len(), landmarks.roots.len(), "{context}");
+        for (tree, &root) in landmarks.trees.iter().zip(&landmarks.roots) {
             assert_eq!(tree.root, root, "{context}");
             let mut fresh = LandmarkTree::empty(root);
             rebuild_tree(&mut fresh, adj.lists(), &mut queue);
@@ -1319,6 +1482,34 @@ mod tests {
             assert_eq!(
                 tree.parent, fresh.parent,
                 "{context}: parents of landmark {root}"
+            );
+        }
+    }
+
+    /// The label oracle: `v`'s home by a scan over every tree, smallest
+    /// distance then smallest index (`None` where no tree reaches `v`).
+    fn scanned_home(landmarks: &Landmarks, v: Node) -> Option<(usize, u32)> {
+        let dists = landmarks.trees.iter().map(|tree| tree.dist[v as usize]);
+        dists
+            .enumerate()
+            .filter(|&(_, d)| d != UNREACH)
+            .min_by_key(|&(i, d)| (d, i))
+    }
+
+    /// Every node's label, through the router's public reads, against
+    /// [`scanned_home`].
+    fn assert_labels_match_scan(router: &CompactRouter, context: &str) {
+        for v in 0..router.n() as Node {
+            let home = scanned_home(&router.landmarks, v);
+            assert_eq!(
+                router.home_landmark(v),
+                home.map(|(i, _)| i),
+                "{context}: home landmark of {v}"
+            );
+            assert_eq!(
+                router.landmark_distance(v),
+                home.map(|(_, d)| d),
+                "{context}: landmark distance of {v}"
             );
         }
     }
@@ -1356,28 +1547,46 @@ mod tests {
             cache_capacity: 0,
         };
         let (mut lost_reach, mut new_landmarks, mut decreases) = (0usize, 0usize, 0usize);
+        // Label traffic: commits that changed the landmark set, and labels
+        // that moved to another landmark or rose, on commits that kept it.
+        let (mut set_changes, mut label_moves, mut label_rises) = (0usize, 0usize, 0usize);
         for seed in [31u64, 32, 33] {
             let inst = uniform_udg(90, 5.0, 1.0, seed);
             let mut engine = RspanEngine::new(inst.graph.clone(), TreeAlgo::KGreedy { k: 2 });
             let mut router = CompactRouter::new(&engine, cfg);
             assert_trees_match_rebuild(&router, &engine, "fresh build");
+            assert_labels_match_scan(&router, "fresh build");
             let mut scenarios: Vec<Box<dyn ChurnScenario>> = vec![
                 Box::new(LinkFlapScenario::new(&inst.graph, 3.0, seed)),
                 Box::new(MobilityScenario::from_udg(&inst, 3, 0.2, seed ^ 0x5EED)),
                 Box::new(JoinLeaveScenario::new(inst.graph.clone(), 2, seed ^ 0x101E)),
             ];
             for round in 0..24 {
-                let before: Vec<(Node, Vec<u32>)> = router
-                    .trees
-                    .iter()
-                    .map(|t| (t.root, t.dist.clone()))
-                    .collect();
+                let trees = &router.landmarks.trees;
+                let before: Vec<(Node, Vec<u32>)> =
+                    trees.iter().map(|t| (t.root, t.dist.clone())).collect();
+                let roots_before = router.landmarks().to_vec();
+                let labels_before = labels(&router);
                 let scenario = &mut scenarios[round % 3];
                 let batch = valid_subset(engine.graph(), scenario.next_batch(engine.graph()));
                 let delta = engine.commit(&batch);
                 router.apply(&engine, &batch, &delta);
-                assert_trees_match_rebuild(&router, &engine, &format!("seed {seed} round {round}"));
-                for (tree, &root) in router.trees.iter().zip(&router.landmarks) {
+                let context = format!("seed {seed} round {round}");
+                assert_trees_match_rebuild(&router, &engine, &context);
+                assert_labels_match_scan(&router, &context);
+                if router.landmarks() != roots_before {
+                    set_changes += 1;
+                } else {
+                    for (was, now) in labels_before.iter().zip(labels(&router)) {
+                        let (Some((was_root, was_d)), Some((now_root, now_d))) = (*was, now) else {
+                            continue;
+                        };
+                        label_moves += usize::from(was_root != now_root);
+                        label_rises += usize::from(now_d > was_d);
+                    }
+                }
+                let landmarks = &router.landmarks;
+                for (tree, &root) in landmarks.trees.iter().zip(&landmarks.roots) {
                     let Some((_, old)) = before.iter().find(|(r, _)| *r == root) else {
                         new_landmarks += 1;
                         continue;
@@ -1393,6 +1602,88 @@ mod tests {
         assert!(lost_reach > 0, "no node became unreachable in a kept tree");
         assert!(new_landmarks > 0, "no landmark was newly elected");
         assert!(decreases > 0, "no depth decreased through an added edge");
+        assert!(set_changes > 0, "no commit changed the landmark set");
+        assert!(label_moves > 0, "no label moved to another landmark");
+        assert!(label_rises > 0, "no label's distance rose");
+    }
+
+    /// Every node's home as (landmark id, tree distance).
+    fn labels(router: &CompactRouter) -> Vec<Option<(Node, u32)>> {
+        (0..router.n() as Node)
+            .map(|v| {
+                let home = router.home_landmark(v)?;
+                Some((router.landmarks()[home], router.landmark_distance(v)?))
+            })
+            .collect()
+    }
+
+    /// Toggles the spanner edge `(x, y)` in `adj` and moves `landmarks`
+    /// along, keeping the landmark set.
+    fn flip(adj: &mut [Vec<Node>], landmarks: &mut Landmarks, x: Node, y: Node, add: bool) {
+        if add {
+            sorted_insert(&mut adj[x as usize], y);
+            sorted_insert(&mut adj[y as usize], x);
+        } else {
+            sorted_remove(&mut adj[x as usize], y);
+            sorted_remove(&mut adj[y as usize], x);
+        }
+        let roots = landmarks.roots.clone();
+        landmarks.update(roots, adj, &[(x, y, add)]);
+    }
+
+    #[test]
+    fn labels_keep_the_tie_rule_through_flips_and_chain_hops_match_the_walk() {
+        // The path 0-1-2-3-4 with landmarks 0 and 4 (indices 0 and 1).
+        let mut adj: Vec<Vec<Node>> = vec![Vec::new(); 5];
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
+            sorted_insert(&mut adj[u as usize], v);
+            sorted_insert(&mut adj[v as usize], u);
+        }
+        let mut lm = Landmarks::new(vec![0, 4], &adj);
+        let check = |lm: &Landmarks, context: &str| {
+            for v in 0..5 {
+                assert_eq!(lm.home(v), scanned_home(lm, v), "{context}: label of {v}");
+            }
+            for tree in &lm.trees {
+                for dst in 0..5 {
+                    let chain = ancestor_chain(tree, dst);
+                    for w in (0..5).filter(|&w| w != dst) {
+                        assert_eq!(
+                            chain_hop(tree, &chain, w),
+                            tree_hop(tree, w, dst),
+                            "{context}: hop {w} -> {dst} in the tree of {}",
+                            tree.root
+                        );
+                    }
+                }
+            }
+        };
+        check(&lm, "fresh");
+        // 2 is two hops from both landmarks: the smaller id wins.
+        assert_eq!(lm.home(2), Some((0, 2)));
+
+        // (2, 4) brings landmark 4 strictly closer: an O(1) overwrite.
+        flip(&mut adj, &mut lm, 2, 4, true);
+        check(&lm, "after adding (2, 4)");
+        assert_eq!(lm.home(2), Some((1, 1)));
+        assert!(lm.rescan.is_empty());
+        // Removing it deepens 2 in its home tree: one rescan, back to the tie.
+        flip(&mut adj, &mut lm, 2, 4, false);
+        check(&lm, "after removing (2, 4)");
+        assert_eq!(lm.home(2), Some((0, 2)));
+        assert_eq!(lm.rescan, [2]);
+
+        // (0, 3) ties 3 between its home 4 and landmark 0: the smaller
+        // index takes the label over in O(1), and loses it on the removal.
+        assert_eq!(lm.home(3), Some((1, 1)));
+        flip(&mut adj, &mut lm, 0, 3, true);
+        check(&lm, "after adding (0, 3)");
+        assert_eq!(lm.home(3), Some((0, 1)));
+        assert!(lm.rescan.is_empty());
+        flip(&mut adj, &mut lm, 0, 3, false);
+        check(&lm, "after removing (0, 3)");
+        assert_eq!(lm.home(3), Some((1, 1)));
+        assert_eq!(lm.rescan, [3]);
     }
 
     #[test]
@@ -1418,7 +1709,10 @@ mod tests {
             sorted_insert(&mut adj[y as usize], x);
         }
         let (dist, parent) = (tree.dist.clone(), tree.parent.clone());
-        assert!(!repair_tree(&mut tree, &adj, &quiet, &mut scratch));
+        assert_eq!(
+            repair_tree(&mut tree, &adj, &quiet, &mut scratch),
+            TreeRepair::Unchanged
+        );
         assert_eq!((&tree.dist, &tree.parent), (&dist, &parent));
         for &(x, y, _) in &quiet {
             sorted_remove(&mut adj[x as usize], y);
@@ -1429,7 +1723,10 @@ mod tests {
         let improve = [(1, 7, true)];
         sorted_insert(&mut adj[1], 7);
         sorted_insert(&mut adj[7], 1);
-        assert!(repair_tree(&mut tree, &adj, &improve, &mut scratch));
+        assert_eq!(
+            repair_tree(&mut tree, &adj, &improve, &mut scratch),
+            TreeRepair::InPlace
+        );
         assert_eq!(tree.dist, dist);
         assert_eq!(tree.parent[7], 1);
 
@@ -1443,7 +1740,10 @@ mod tests {
                 sorted_remove(&mut adj[y as usize], x);
             }
         }
-        assert!(repair_tree(&mut tree, &adj, &flips, &mut scratch));
+        assert_eq!(
+            repair_tree(&mut tree, &adj, &flips, &mut scratch),
+            TreeRepair::InPlace
+        );
         assert_eq!(tree.dist, [0, 1, 5, 4, 3, UNREACH, 1, 2]);
         assert_eq!(tree.parent, [NO_HOP, 0, 3, 4, 7, NO_HOP, 0, 1]);
         let mut fresh = LandmarkTree::empty(0);

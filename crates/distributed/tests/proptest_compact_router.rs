@@ -16,7 +16,8 @@
 //!   cache-enabled router answers exactly like a cache-disabled one;
 //! * **repair** — the router repaired commit by commit answers every
 //!   landmark and routing query exactly like one built fresh from the same
-//!   engine state.
+//!   engine state, and every hop of its `forward` routes is the
+//!   `next_hop` of the node it leaves.
 
 use rspan_distributed::{CompactRouter, LocalConfig, RoutingTables};
 use rspan_engine::{
@@ -227,11 +228,17 @@ fn repaired_router_answers_like_a_fresh_build_under_interleaved_churn() {
                         fresh.next_hop(s, t),
                         "{context}: next hop ({s}, {t})"
                     );
-                    assert_eq!(
-                        router.forward(s, t),
-                        fresh.forward(s, t),
-                        "{context}: route ({s}, {t})"
-                    );
+                    let route = router.forward(s, t);
+                    assert_eq!(route, fresh.forward(s, t), "{context}: route ({s}, {t})");
+                    // forward's one-lookup tree hops take next_hop's walk.
+                    for hop in route.iter().flat_map(|path| path.windows(2)) {
+                        assert_eq!(
+                            router.next_hop(hop[0], t),
+                            Some(hop[1]),
+                            "{context}: route ({s}, {t}) at {}",
+                            hop[0]
+                        );
+                    }
                 }
             }
         }
