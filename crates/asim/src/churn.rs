@@ -86,7 +86,8 @@ pub struct RoundReport {
     pub at: VTime,
     /// Topology changes in the round's batch.
     pub batch_len: usize,
-    /// Dirty nodes the commit recomputed (wave originators).
+    /// The commit's dirty ball (the wave originators), a superset of the
+    /// trees it rebuilt.
     pub dirty: usize,
     /// Spanner edges that entered or left.
     pub spanner_flips: usize,

@@ -16,8 +16,9 @@
 //!   `RspanEngine::commit` (dirty-ball recomputation) and once by the full
 //!   pipeline (materialise the CSR snapshot + `rem_span_algo` from scratch).
 //!   The two timings are interleaved round by round, the spanners are
-//!   asserted identical every round, and the medians plus their ratio land
-//!   in the JSON.
+//!   asserted identical every round, every cached tree is asserted equal to
+//!   a fresh build on the final topology, and the medians plus their ratio
+//!   land in the JSON.
 //! * **routing_churn** — two families in `BENCH_routing.json`, told apart by
 //!   the `workload` key:
 //!   * `routing_churn`, the full batch → commit → delta → table-repair
@@ -115,7 +116,7 @@ use rspan_asim::{
 use rspan_bench::scaled_density_udg;
 use rspan_core::{rem_span, rem_span_algo};
 use rspan_distributed::{CompactRouter, RoutingTables};
-use rspan_domtree::{dom_tree_k_greedy, TreeAlgo};
+use rspan_domtree::{dom_tree_k_greedy, DomScratch, TreeAlgo};
 use rspan_engine::{
     ChurnScenario, JoinLeaveScenario, LinkFlapScenario, MobilityScenario, RspanEngine,
     TopologyChange,
@@ -385,6 +386,21 @@ fn engine_churn_workload(quick: bool, seed: u64, out_path: &str) {
                 session.spanner_on(&csr).edge_set(),
                 full.edge_set(),
                 "incremental spanner diverged from full recompute at n={n} round={round}"
+            );
+        }
+        // The spanner check above sees only the union of the trees; every
+        // cached tree, kept or rebuilt, must also equal a fresh build.
+        let csr = session.to_csr();
+        let mut scratch = DomScratch::new();
+        let mut fresh = Vec::new();
+        for u in 0..n as Node {
+            fresh.clear();
+            let tree = algo.build_with_scratch(&csr, u, &mut scratch);
+            tree.for_each_edge(|p, c| fresh.push((p, c)));
+            assert_eq!(
+                session.engine().tree_edges(u),
+                fresh.as_slice(),
+                "cached tree of {u} diverged from a fresh build at n={n}"
             );
         }
         let dirty_total = session.metrics().dirty_total;

@@ -58,8 +58,20 @@
 //!   `delta.recomputed ∪ ⋃ ball_G(endpoint, R)` over all spanner-flip
 //!   endpoints (post-commit topology; `d_G ≤ d_{H_u}` makes the `G`-ball a
 //!   superset of every affected `H_u`-ball, and reachability lost through a
-//!   batch removal is already covered by `recomputed`, which contains the
+//!   batch removal is already covered by `recomputed`, the engine's whole
+//!   marked ball — not just its rebuilt trees — which contains the
 //!   pre-commit dirty balls of every batch endpoint);
+//! * the **landmark set** is re-elected only when the flips can change the
+//!   spanner's components.  An added flip `(x, y)` merges two components
+//!   only if `y` is unreachable in `x`'s home tree before the repair (each
+//!   tree spans its landmark's whole component, and every component holds
+//!   its minimum as a landmark).  A removed flip splits one only if a
+//!   bidirectional BFS from `x` and `y` over the post-flip spanner fails to
+//!   meet; it stops as soon as either frontier empties.  When no added flip
+//!   crosses components and the ends of every removed flip stay connected,
+//!   every pre-flip edge joins one post-flip component and every post-flip
+//!   edge one pre-flip component, so the partition — and with it the set —
+//!   is unchanged and `connected_components` is skipped;
 //! * **landmark trees** are functions of the pure spanner, so link-only
 //!   commits skip them entirely; otherwise each flip is tested against each
 //!   tree with an O(1) predicate (mirroring the delta-router row predicate:
@@ -227,6 +239,45 @@ impl TreeScratch {
             }
             dist[v as usize] = d;
             self.heap.push(Reverse((d, v)));
+        }
+    }
+}
+
+/// Scratch for [`Meet::connected`], pooled on the router: per side, the
+/// nodes reached and their BFS queue.
+#[derive(Default)]
+struct Meet {
+    seen: [EpochFlags; 2],
+    queue: [Vec<Node>; 2],
+}
+
+impl Meet {
+    /// Whether `x` and `y` are connected in `adj`: a BFS from each end that
+    /// always expands the side with fewer queued nodes, until the two meet
+    /// or one side's queue empties — that side then holds its whole
+    /// component, which the other end is not in.
+    fn connected(&mut self, adj: &[Vec<Node>], x: Node, y: Node) -> bool {
+        let mut head = [0usize; 2];
+        for (side, source) in [x, y].into_iter().enumerate() {
+            self.seen[side].begin(adj.len());
+            self.seen[side].set(source);
+            self.queue[side].clear();
+            self.queue[side].push(source);
+        }
+        loop {
+            let side = usize::from(self.queue[1].len() - head[1] < self.queue[0].len() - head[0]);
+            let Some(&w) = self.queue[side].get(head[side]) else {
+                return false;
+            };
+            head[side] += 1;
+            for &v in &adj[w as usize] {
+                if self.seen[1 - side].test(v) {
+                    return true;
+                }
+                if self.seen[side].set(v) {
+                    self.queue[side].push(v);
+                }
+            }
         }
     }
 }
@@ -466,6 +517,7 @@ struct Landmarks {
     /// Retired trees, recycled for newly elected landmarks.
     spare: Vec<LandmarkTree>,
     scratch: TreeScratch,
+    meet: Meet,
     /// Nodes whose home tree got deeper or lost them during an update.
     rescan: Vec<Node>,
 }
@@ -479,6 +531,7 @@ impl Landmarks {
             labels: vec![Label::NONE; adj.len()],
             spare: Vec::new(),
             scratch: TreeScratch::default(),
+            meet: Meet::default(),
             rescan: Vec::new(),
         };
         landmarks.update(roots, adj, &[]);
@@ -493,24 +546,23 @@ impl Landmarks {
 
     /// Moves to the landmark set `roots` over the post-flip adjacency `adj`:
     /// kept trees are repaired in place for `flips`, new landmarks get a
-    /// fresh tree, and demoted ones retire theirs into the spare pool.
-    /// Labels follow the in-place repairs node by node; a changed landmark
-    /// set or a defensive rebuild relabels every node.  Returns the trees
-    /// repaired or built.
+    /// fresh tree, demoted ones retire theirs into the spare pool, and every
+    /// node is relabelled (indices shift with the set).  An unchanged set is
+    /// a [`Landmarks::repair`].  Returns the trees repaired or built.
     fn update(
         &mut self,
         roots: Vec<Node>,
         adj: &[Vec<Node>],
         flips: &[(Node, Node, bool)],
     ) -> usize {
+        if roots == self.roots {
+            return self.repair(adj, flips);
+        }
         let old_roots = std::mem::replace(&mut self.roots, roots);
         let mut old_trees: Vec<Option<LandmarkTree>> = std::mem::take(&mut self.trees)
             .into_iter()
             .map(Some)
             .collect();
-        // Indices shift with the set, so labels can follow only a kept one.
-        let mut relabel = self.roots != old_roots;
-        self.rescan.clear();
         let mut touched = 0usize;
         for i in 0..self.roots.len() {
             let root = self.roots[i];
@@ -520,19 +572,8 @@ impl Landmarks {
                 .and_then(|j| old_trees[j].take());
             let tree = match kept {
                 Some(mut tree) => {
-                    match repair_tree(&mut tree, adj, flips, &mut self.scratch) {
-                        TreeRepair::Unchanged => {}
-                        TreeRepair::InPlace => {
-                            touched += 1;
-                            if !relabel {
-                                self.follow(i, &tree);
-                            }
-                        }
-                        TreeRepair::Rebuilt => {
-                            touched += 1;
-                            relabel = true;
-                        }
-                    }
+                    let repair = repair_tree(&mut tree, adj, flips, &mut self.scratch);
+                    touched += usize::from(repair != TreeRepair::Unchanged);
                     tree
                 }
                 None => {
@@ -551,12 +592,59 @@ impl Landmarks {
             self.trees.push(tree);
         }
         self.spare.extend(old_trees.into_iter().flatten());
+        self.relabel_all();
+        touched
+    }
+
+    /// Repairs every tree in place for `flips` over the post-flip adjacency
+    /// `adj`, keeping the landmark set.  Labels follow the in-place repairs
+    /// node by node; a defensive rebuild relabels every node.  Returns the
+    /// trees repaired.
+    fn repair(&mut self, adj: &[Vec<Node>], flips: &[(Node, Node, bool)]) -> usize {
+        let mut trees = std::mem::take(&mut self.trees);
+        self.rescan.clear();
+        let mut relabel = false;
+        let mut touched = 0usize;
+        for (i, tree) in trees.iter_mut().enumerate() {
+            match repair_tree(tree, adj, flips, &mut self.scratch) {
+                TreeRepair::Unchanged => {}
+                TreeRepair::InPlace => {
+                    touched += 1;
+                    if !relabel {
+                        self.follow(i, tree);
+                    }
+                }
+                TreeRepair::Rebuilt => {
+                    touched += 1;
+                    relabel = true;
+                }
+            }
+        }
+        self.trees = trees;
         if relabel {
             self.relabel_all();
         } else {
             self.relabel_rescans();
         }
         touched
+    }
+
+    /// Whether `flips` keep the spanner's components, so the elected set
+    /// stands (see the module docs).  Runs before the repair: an added flip
+    /// is tested on the pre-flip home tree of one end, a removed one by a
+    /// bidirectional BFS over the post-flip adjacency `adj`.
+    fn keeps_components(&mut self, adj: &[Vec<Node>], flips: &[(Node, Node, bool)]) -> bool {
+        let crosses = |&(x, y, added): &(Node, Node, bool)| {
+            added
+                && self
+                    .trees
+                    .get(self.labels[x as usize].home as usize)
+                    .is_none_or(|home| home.dist[y as usize] == UNREACH)
+        };
+        !flips.iter().any(crosses)
+            && flips
+                .iter()
+                .all(|&(x, y, added)| added || self.meet.connected(adj, x, y))
     }
 
     /// Folds tree `i`'s in-place repair (the scratch's `moved` nodes) into
@@ -747,6 +835,9 @@ pub struct CompactRouter {
     obs: ObsHandle,
     /// Cache population at the last telemetry flush, for the gauge delta.
     cache_entries_mark: i64,
+    /// Landmark elections run by `apply`.
+    #[cfg(test)]
+    elections: usize,
 }
 
 impl CompactRouter {
@@ -779,6 +870,8 @@ impl CompactRouter {
             tel: TelemetryHandle::off(),
             obs: ObsHandle::off(),
             cache_entries_mark: 0,
+            #[cfg(test)]
+            elections: 0,
         };
         for u in 0..n as Node {
             router.fill_ball(engine, u);
@@ -1013,15 +1106,22 @@ impl CompactRouter {
         drop(span);
 
         // Landmark set, trees and labels: pure functions of the spanner, so
-        // only a spanner flip touches them.  Re-elect (component structure
-        // may have changed), then repair trees and labels in place.
+        // only a spanner flip touches them.  The set is re-elected only when
+        // the flips can change the spanner's components; trees and labels
+        // are repaired in place either way.
         let mut span = self.tel.span(Span::LandmarkRepair);
+        let adj = self.spanner.lists();
         let trees_touched = if self.flips.is_empty() {
             0
+        } else if self.landmarks.keeps_components(adj, &self.flips) {
+            self.landmarks.repair(adj, &self.flips)
         } else {
+            #[cfg(test)]
+            {
+                self.elections += 1;
+            }
             let roots = elect_landmarks(&self.spanner, self.cfg.landmarks);
-            self.landmarks
-                .update(roots, self.spanner.lists(), &self.flips)
+            self.landmarks.update(roots, adj, &self.flips)
         };
         span.add_items(trees_touched as u64);
         drop(span);
@@ -1215,7 +1315,7 @@ mod tests {
     use rspan_domtree::TreeAlgo;
     use rspan_graph::generators::er::gnp_connected;
     use rspan_graph::generators::structured::{cycle_graph, grid_graph};
-    use rspan_graph::{sorted_insert, sorted_remove};
+    use rspan_graph::{sorted_insert, sorted_remove, CsrGraph};
 
     /// Every ball entry must equal the corresponding dense-table entry, and
     /// every dense entry within the radius must appear in the ball.
@@ -1550,6 +1650,9 @@ mod tests {
         // Label traffic: commits that changed the landmark set, and labels
         // that moved to another landmark or rose, on commits that kept it.
         let (mut set_changes, mut label_moves, mut label_rises) = (0usize, 0usize, 0usize);
+        // Commits with a spanner flip that re-elected the landmark set, and
+        // those that kept it without a component pass.
+        let (mut elected, mut kept) = (0usize, 0usize);
         for seed in [31u64, 32, 33] {
             let inst = uniform_udg(90, 5.0, 1.0, seed);
             let mut engine = RspanEngine::new(inst.graph.clone(), TreeAlgo::KGreedy { k: 2 });
@@ -1570,7 +1673,13 @@ mod tests {
                 let scenario = &mut scenarios[round % 3];
                 let batch = valid_subset(engine.graph(), scenario.next_batch(engine.graph()));
                 let delta = engine.commit(&batch);
+                let elections = router.elections;
                 router.apply(&engine, &batch, &delta);
+                if !delta.is_empty() {
+                    let ran = router.elections - elections;
+                    elected += ran;
+                    kept += 1 - ran;
+                }
                 let context = format!("seed {seed} round {round}");
                 assert_trees_match_rebuild(&router, &engine, &context);
                 assert_labels_match_scan(&router, &context);
@@ -1605,6 +1714,8 @@ mod tests {
         assert!(set_changes > 0, "no commit changed the landmark set");
         assert!(label_moves > 0, "no label moved to another landmark");
         assert!(label_rises > 0, "no label's distance rose");
+        assert!(elected > 0, "no commit re-elected the landmark set");
+        assert!(kept > 0, "no flip commit kept the landmark set");
     }
 
     /// Every node's home as (landmark id, tree distance).
@@ -1749,6 +1860,62 @@ mod tests {
         let mut fresh = LandmarkTree::empty(0);
         rebuild_tree(&mut fresh, &adj, &mut scratch.queue);
         assert_eq!((tree.dist, tree.parent), (fresh.dist, fresh.parent));
+    }
+
+    #[test]
+    fn landmarks_are_re_elected_only_when_components_change() {
+        // Two triangles {0, 1, 2} and {3, 4, 5} joined by the bridge (2, 3),
+        // with pendants that keep every triangle edge in the spanner once
+        // the bridge is gone.  One stride landmark (0) plus the minimum of
+        // each spanner component.
+        let g = CsrGraph::from_edges(
+            10,
+            &[
+                (0, 1),
+                (0, 2),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (3, 5),
+                (4, 5),
+                (0, 6),
+                (1, 7),
+                (4, 8),
+                (5, 9),
+            ],
+        );
+        let cfg = LocalConfig {
+            landmarks: 1,
+            cache_capacity: 0,
+        };
+        let mut engine = RspanEngine::new(g, TreeAlgo::KGreedy { k: 2 });
+        assert!(
+            engine.contains_spanner_edge(2, 3),
+            "the bridge is a spanner edge"
+        );
+        let mut router = CompactRouter::new(&engine, cfg);
+        assert_eq!(router.landmarks(), [0]);
+        let mut commit = |batch: &[TopologyChange], context: &str| {
+            let elections = router.elections;
+            let delta = engine.commit(batch);
+            assert!(!delta.is_empty(), "{context}: the spanner must flip");
+            router.apply(&engine, batch, &delta);
+            assert_trees_match_rebuild(&router, &engine, context);
+            assert_labels_match_scan(&router, context);
+            let fresh = CompactRouter::new(&engine, cfg);
+            assert_eq!(router.landmarks(), fresh.landmarks(), "{context}");
+            (router.landmarks().to_vec(), router.elections - elections)
+        };
+        // Losing the bridge splits the spanner: 3 becomes a minimum.
+        let cut = commit(&[TopologyChange::RemoveEdge(2, 3)], "bridge removed");
+        assert_eq!(cut, (vec![0, 3], 1));
+        // Restoring it merges them again: 3 is demoted.
+        let joined = commit(&[TopologyChange::AddEdge(2, 3)], "bridge restored");
+        assert_eq!(joined, (vec![0], 1));
+        // (0, 1) leaves the spanner but 0-2-1 remains: no election.
+        let detour = commit(&[TopologyChange::RemoveEdge(0, 1)], "detour kept");
+        assert!(!engine.contains_spanner_edge(0, 1));
+        assert_eq!(detour, (vec![0], 0));
     }
 
     #[test]

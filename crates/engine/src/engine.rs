@@ -9,9 +9,10 @@
 //! * it **owns the topology** as a [`DynamicGraph`] (CSR base + sorted
 //!   overlay, `O(deg)` per link flip, amortised compaction),
 //! * it **caches every node's dominating-tree contribution** (the tree's
-//!   edge list), so a batch commit recomputes only the *dirty ball* — the
-//!   union of `(r − 1 + β)`-balls around the changed endpoints in the old
-//!   and new topology — and leaves all other cached trees untouched,
+//!   edge list), so a batch commit recomputes at most the *dirty ball* —
+//!   the union of `(r − 1 + β)`-balls around the changed endpoints in the
+//!   old and new topology, cut down under `KGreedy` to the roots whose tree
+//!   can see the batch — and leaves all other cached trees untouched,
 //! * it **refcounts spanner edges** across the per-node trees and emits a
 //!   [`SpannerDelta`] per commit: exactly the edges that entered or left the
 //!   spanner, with an epoch number, instead of a full edge set.
@@ -35,6 +36,21 @@
 //! the engine-vs-full-recompute property test pins the result bit-identical
 //! to [`rem_span_algo`] on the final graph.
 //!
+//! [`TreeAlgo::KGreedy`] (Algorithm 4) sees less than its ball.  Its tree of
+//! `u` reads only `N(u)` in sorted order, the distance-2 set `D₂(u)` and the
+//! edges between `N(u)` and `D₂(u)`: edges inside `N(u)` and edges with no
+//! end in `N(u)` never enter its coverage counts.  A non-endpoint's
+//! adjacency is the same before and after the batch, so a change `{a, b}`
+//! with `u ∉ {a, b}` is visible to `u` only if exactly one of `a`, `b` is a
+//! neighbour of `u`.  Under `KGreedy` the mark phase therefore also flags
+//! every batch endpoint and, per change, the symmetric difference of the
+//! two ends' sorted neighbour lists (post-batch lists; they differ from the
+//! pre-batch ones only in other endpoints, which are flagged anyway).  Only
+//! the flagged roots are retired, rebuilt and installed; every other marked
+//! root keeps its cached tree and its refcounts.  The other algorithms
+//! rebuild the whole ball.  [`SpannerDelta::recomputed`] still reports the
+//! whole ball, so wave origins and ball-row repairs downstream do not move.
+//!
 //! # Thread locality
 //!
 //! An engine is a plain mutable owner like every scratch pool in this
@@ -47,11 +63,12 @@
 use crate::change::TopologyChange;
 use rspan_domtree::{DomScratch, TreeAlgo};
 use rspan_graph::{
-    bfs_into, resolve_threads, CsrGraph, DynamicGraph, EdgeSet, EpochFlags, Node, Subgraph,
-    TraversalScratch,
+    bfs_into, resolve_threads, Adjacency, CsrGraph, DynamicGraph, EdgeSet, EpochFlags, Node,
+    Subgraph, TraversalScratch,
 };
 use rspan_obs::{ObsEvent, ObsHandle};
 use rspan_telemetry::{Counter, Hist, Span, TelemetryHandle};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
@@ -112,7 +129,8 @@ pub struct SpannerDelta {
     pub added: Vec<(Node, Node)>,
     /// Edges that left the spanner, as `(u, v)` pairs with `u < v`, sorted.
     pub removed: Vec<(Node, Node)>,
-    /// Nodes whose dominating tree was recomputed (the dirty ball), sorted.
+    /// The dirty ball, sorted: every node whose tree may have changed, and
+    /// the wave origins; a superset of the rebuilt trees.
     pub recomputed: Vec<Node>,
     /// Whether this commit folded the topology overlay back into CSR.
     pub compacted: bool,
@@ -124,7 +142,8 @@ impl SpannerDelta {
         self.added.is_empty() && self.removed.is_empty()
     }
 
-    /// Fraction of nodes that had to recompute their tree.
+    /// Fraction of nodes in the dirty ball: every node whose tree may have
+    /// changed, and the wave origins; a superset of the rebuilt trees.
     pub fn recomputed_fraction(&self, n: usize) -> f64 {
         self.recomputed.len() as f64 / n.max(1) as f64
     }
@@ -149,6 +168,12 @@ pub struct RspanEngine {
     /// Endpoints already swept in the current `mark_balls` pass (a batch from
     /// e.g. a join/leave scenario repeats one endpoint across many changes).
     endpoint_seen: EpochFlags,
+    /// Under [`TreeAlgo::KGreedy`], the marked roots whose tree can see the
+    /// batch (see the module docs); only these are rebuilt.
+    visible: EpochFlags,
+    /// The sorted neighbour lists of one change's two ends, merged into
+    /// `visible`.
+    ends: [Vec<Node>; 2],
     /// Rebuild work list of the current commit: `(root, edge buffer)` per
     /// dirty node.  Kept on the engine so the spine allocation amortises
     /// across commits (the edge buffers themselves rotate through `trees`).
@@ -207,6 +232,8 @@ impl RspanEngine {
             dirty: EpochFlags::new(),
             dirty_list: Vec::new(),
             endpoint_seen: EpochFlags::new(),
+            visible: EpochFlags::new(),
+            ends: [Vec::new(), Vec::new()],
             work: Vec::new(),
             par_dom: Vec::new(),
             tel: TelemetryHandle::off(),
@@ -233,9 +260,11 @@ impl RspanEngine {
     }
 
     /// Attaches a live telemetry handle: commits count into the sharded
-    /// registry, the commit wall time feeds [`Hist::CommitNs`], each commit
-    /// phase records one span ([`Span::Mark`] → [`Span::Compact`]) and every
-    /// rebuild worker records its own busy time as a [`Span::Rebuild`] span.
+    /// registry (the marked ball into [`Counter::EngineDirtyNodes`], the
+    /// trees actually rebuilt into [`Counter::EngineTreesRebuilt`]), the
+    /// commit wall time feeds [`Hist::CommitNs`], each commit phase records
+    /// one span ([`Span::Mark`] → [`Span::Compact`]) and every rebuild
+    /// worker records its own busy time as a [`Span::Rebuild`] span.
     /// Telemetry is wall-clock only — deltas, spanner state and obs event
     /// logs stay bit-identical with it attached (property-tested).
     pub fn set_telemetry(&mut self, tel: TelemetryHandle) {
@@ -320,9 +349,9 @@ impl RspanEngine {
         self.commit_parallel(batch, 1)
     }
 
-    /// Like [`RspanEngine::commit`], but rebuilds the dirty trees on
-    /// `threads` scoped worker threads (0 = available parallelism), each with
-    /// its own pooled [`DomScratch`].
+    /// Like [`RspanEngine::commit`], but rebuilds the trees that can change
+    /// on `threads` scoped worker threads (0 = available parallelism), each
+    /// with its own pooled [`DomScratch`].
     ///
     /// The rebuild items are sorted by root id and cut into
     /// `DIRTY_CHUNK`-node chunks, and each worker takes one *contiguous
@@ -370,21 +399,29 @@ impl RspanEngine {
         }
         // Dirty balls in the post-batch topology.
         self.mark_balls(batch, radius);
+        let only_visible = matches!(self.algo, TreeAlgo::KGreedy { .. });
+        if only_visible {
+            self.flag_visible(batch);
+        }
         span.add_items(self.dirty_list.len() as u64);
         drop(span);
 
-        // Phase 1 — retire: pull every dirty tree out of the cache and undo
-        // its refcount contribution, snapshotting each pair's pre-commit
-        // presence on first touch (a pair being decremented is necessarily
-        // present; increments later only snapshot pairs whose count is 0,
-        // i.e. pairs no retired tree held — so the all-decrements-first
-        // phasing records exactly the same pre-commit presence the
-        // interleaved sequential sweep did).
+        // Phase 1 — retire: pull every dirty tree that can change out of the
+        // cache and undo its refcount contribution, snapshotting each pair's
+        // pre-commit presence on first touch (a pair being decremented is
+        // necessarily present; increments later only snapshot pairs whose
+        // count is 0, i.e. pairs no retired tree held — so the
+        // all-decrements-first phasing records exactly the same pre-commit
+        // presence the interleaved sequential sweep did).  A kept tree is
+        // the one a rebuild would produce, so its refcounts stay as they are.
         let mut span = self.tel.span(Span::Retire);
         let mut work = std::mem::take(&mut self.work);
         work.clear();
         for i in 0..self.dirty_list.len() {
             let u = self.dirty_list[i];
+            if only_visible && !self.visible.test(u) {
+                continue;
+            }
             let mut edges = std::mem::take(&mut self.trees[u as usize]);
             for &(p, c) in &edges {
                 let key = pack(p, c);
@@ -404,7 +441,7 @@ impl RspanEngine {
         span.add_items(work.len() as u64);
         drop(span);
 
-        // Phase 2 — rebuild: recompute exactly the dirty trees, sharded
+        // Phase 2 — rebuild: recompute exactly the retired trees, sharded
         // across workers when the dirty set is worth the fan-out.  Each
         // worker times itself (the telemetry shards are `Sync`), so the
         // Rebuild span is Σ worker busy ns, not the scope's wall time.
@@ -466,8 +503,9 @@ impl RspanEngine {
             }
             self.trees[*u as usize] = std::mem::take(edges);
         }
+        let rebuilt = work.len();
         self.work = work;
-        span.add_items(self.dirty_list.len() as u64);
+        span.add_items(rebuilt as u64);
         drop(span);
 
         // Net delta: pairs whose presence flipped across the commit.
@@ -512,8 +550,7 @@ impl RspanEngine {
                 .add(Counter::EngineBatchChanges, batch.len() as u64);
             self.tel
                 .add(Counter::EngineDirtyNodes, recomputed.len() as u64);
-            self.tel
-                .add(Counter::EngineTreesRebuilt, recomputed.len() as u64);
+            self.tel.add(Counter::EngineTreesRebuilt, rebuilt as u64);
             self.tel
                 .observe(Hist::CommitNs, t0.elapsed().as_nanos() as u64);
         }
@@ -543,6 +580,44 @@ impl RspanEngine {
                         self.dirty_list.push(v);
                     }
                 }
+            }
+        }
+    }
+
+    /// Flags the roots whose [`TreeAlgo::KGreedy`] tree can see the batch:
+    /// every endpoint, and every node adjacent to exactly one end of some
+    /// change — one merge of the two ends' sorted neighbour lists a change,
+    /// in the post-batch topology.
+    fn flag_visible(&mut self, batch: &[TopologyChange]) {
+        self.visible.begin(self.graph.n());
+        let [na, nb] = &mut self.ends;
+        for change in batch {
+            let (a, b) = change.endpoints();
+            self.visible.set(a);
+            self.visible.set(b);
+            na.clear();
+            nb.clear();
+            self.graph.for_each_neighbor(a, &mut |v| na.push(v));
+            self.graph.for_each_neighbor(b, &mut |v| nb.push(v));
+            let (mut i, mut j) = (0, 0);
+            while i < na.len() && j < nb.len() {
+                match na[i].cmp(&nb[j]) {
+                    Ordering::Less => {
+                        self.visible.set(na[i]);
+                        i += 1;
+                    }
+                    Ordering::Greater => {
+                        self.visible.set(nb[j]);
+                        j += 1;
+                    }
+                    Ordering::Equal => {
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            for &v in na[i..].iter().chain(&nb[j..]) {
+                self.visible.set(v);
             }
         }
     }
@@ -710,13 +785,14 @@ mod tests {
         let snap = tel.snapshot().expect("telemetry enabled");
         let span = snap.span(Span::Rebuild);
         // One span per engaged worker, folded across the workers' shards,
-        // covering every dirty tree exactly once.
+        // covering every rebuilt tree exactly once.
         assert!(
             span.calls >= 2,
             "parallel rebuild engaged {} workers",
             span.calls
         );
-        assert_eq!(span.items, d_inst.recomputed.len() as u64);
+        assert_eq!(span.items, snap.counter(Counter::EngineTreesRebuilt));
+        assert!(span.items <= d_inst.recomputed.len() as u64);
         assert_eq!(snap.span(Span::Mark).calls, 1);
         assert_eq!(snap.counter(Counter::EngineCommits), 1);
         assert_eq!(
@@ -728,6 +804,42 @@ mod tests {
         assert_eq!(report.commits, 1);
         let dirty = format!("\"dirty\":{},", d_inst.recomputed.len());
         assert!(report.lines[0].contains(&dirty), "{}", report.lines[0]);
+    }
+
+    #[test]
+    fn kgreedy_keeps_the_tree_of_a_node_adjacent_to_both_ends() {
+        // 0 is adjacent to both 1 and 2, so losing (1, 2) is invisible to
+        // its KGreedy tree: 0 is in the marked ball {0..=4} but keeps its
+        // cached tree, while 3 and 4 each see exactly one end.  KMis marks
+        // the radius-2 ball, every node, and rebuilds all of it.
+        let g = CsrGraph::from_edges(6, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (0, 5)]);
+        let batch = [TopologyChange::RemoveEdge(1, 2)];
+        for (algo, marked, rebuilt) in [
+            (TreeAlgo::KGreedy { k: 2 }, 5, 4),
+            (TreeAlgo::KMis { k: 2 }, 6, 6),
+        ] {
+            let mut engine = RspanEngine::new(g.clone(), algo);
+            let tel = TelemetryHandle::enabled();
+            engine.set_telemetry(tel.clone());
+            let delta = engine.commit(&batch);
+            assert_eq!(delta.recomputed.len(), marked, "{algo:?}");
+            let snap = tel.snapshot().expect("telemetry enabled");
+            assert_eq!(snap.counter(Counter::EngineDirtyNodes), marked as u64);
+            assert_eq!(
+                snap.counter(Counter::EngineTreesRebuilt),
+                rebuilt,
+                "{algo:?}"
+            );
+            assert_eq!(snap.span(Span::Rebuild).items, rebuilt, "{algo:?}");
+            let csr = engine.to_csr();
+            let mut scratch = DomScratch::new();
+            for u in 0..6 {
+                let mut fresh = Vec::new();
+                let tree = algo.build_with_scratch(&csr, u, &mut scratch);
+                tree.for_each_edge(|p, c| fresh.push((p, c)));
+                assert_eq!(engine.tree_edges(u), fresh, "{algo:?}: tree of {u}");
+            }
+        }
     }
 
     #[test]

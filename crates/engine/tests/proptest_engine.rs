@@ -3,18 +3,21 @@
 //! The load-bearing invariant: after an *arbitrary interleaved sequence* of
 //! add/remove batches, the engine's spanner is **bit-identical** to a full
 //! `rem_span_algo` recomputation on the final graph — the dirty-ball
-//! recomputation may never change the result, only its cost.  A second
-//! invariant checks the emitted deltas compose: replaying them over the
-//! initial spanner reproduces the final spanner exactly.
+//! recomputation may never change the result, only its cost.  The union
+//! alone would miss a stale cached tree whose edges other trees also hold,
+//! so every root's cached tree is also checked against a fresh build.  A
+//! second invariant checks the emitted deltas compose: replaying them over
+//! the initial spanner reproduces the final spanner exactly.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rspan_core::rem_span_algo;
-use rspan_domtree::TreeAlgo;
+use rspan_domtree::{DomScratch, TreeAlgo};
 use rspan_engine::{RspanEngine, SpannerDelta, TopologyChange};
 use rspan_graph::generators::er::gnp_connected;
 use rspan_graph::generators::udg::uniform_udg;
 use rspan_graph::{DynamicGraph, Node};
+use rspan_telemetry::{Counter, TelemetryHandle};
 use std::collections::HashSet;
 
 /// Generates one valid batch of random edge toggles against `tracker`,
@@ -62,6 +65,25 @@ fn assert_matches_full_recompute(engine: &RspanEngine, context: &str) {
     );
 }
 
+/// Asserts every root's cached tree equals a fresh build on the engine's
+/// current topology, edge for edge and in build order.
+fn assert_tree_cache_matches_fresh_builds(engine: &RspanEngine, context: &str) {
+    let csr = engine.to_csr();
+    let algo = engine.algo();
+    let mut scratch = DomScratch::new();
+    let mut fresh = Vec::new();
+    for u in 0..csr.n() as Node {
+        fresh.clear();
+        let tree = algo.build_with_scratch(&csr, u, &mut scratch);
+        tree.for_each_edge(|p, c| fresh.push((p, c)));
+        assert_eq!(
+            engine.tree_edges(u),
+            fresh.as_slice(),
+            "{context}: cached tree of {u} is stale"
+        );
+    }
+}
+
 fn algos() -> Vec<TreeAlgo> {
     vec![
         TreeAlgo::KGreedy { k: 2 },
@@ -84,18 +106,57 @@ fn interleaved_batches_stay_bit_identical_to_full_recompute() {
                 let batch = random_batch(&mut tracker, &mut rng, 6);
                 let delta = engine.commit(&batch);
                 assert_eq!(delta.epoch, round + 1);
-                assert_matches_full_recompute(
-                    &engine,
-                    &format!(
-                        "{algo:?} seed {seed} round {round} ({} changes)",
-                        batch.len()
-                    ),
+                let context = format!(
+                    "{algo:?} seed {seed} round {round} ({} changes)",
+                    batch.len()
                 );
+                assert_matches_full_recompute(&engine, &context);
+                assert_tree_cache_matches_fresh_builds(&engine, &context);
             }
             // and the engine's topology tracked the reference overlay
             assert_eq!(engine.to_csr(), tracker.to_csr());
         }
     }
+}
+
+#[test]
+fn kgreedy_tree_cache_matches_fresh_builds_under_flaps_and_mobility() {
+    // Unit-disk graphs have many common neighbours, so many marked roots
+    // are adjacent to both ends of a change and keep their cached tree.
+    use rspan_engine::{ChurnScenario, LinkFlapScenario, MobilityScenario};
+    let mut skipped_commits = 0usize;
+    for k in 1..=3usize {
+        for seed in [51u64, 52] {
+            let inst = uniform_udg(150, 5.0, 1.0, seed);
+            let scenarios: Vec<Box<dyn ChurnScenario>> = vec![
+                Box::new(LinkFlapScenario::new(&inst.graph, 4.0, seed)),
+                Box::new(MobilityScenario::from_udg(&inst, 4, 0.25, seed ^ 0x5EED)),
+            ];
+            for mut scenario in scenarios {
+                let algo = TreeAlgo::KGreedy { k };
+                let mut engine = RspanEngine::new(inst.graph.clone(), algo);
+                let tel = TelemetryHandle::enabled();
+                engine.set_telemetry(tel.clone());
+                let (mut dirty, mut rebuilt) = (0u64, 0u64);
+                for round in 0..10 {
+                    let batch = scenario.next_batch(engine.graph());
+                    engine.commit(&batch);
+                    let context =
+                        format!("{algo:?} seed {seed} {} round {round}", scenario.label());
+                    assert_tree_cache_matches_fresh_builds(&engine, &context);
+                    let snap = tel.snapshot().expect("telemetry enabled");
+                    let now_dirty = snap.counter(Counter::EngineDirtyNodes);
+                    let now_rebuilt = snap.counter(Counter::EngineTreesRebuilt);
+                    assert!(now_rebuilt - rebuilt <= now_dirty - dirty, "{context}");
+                    skipped_commits += usize::from(now_rebuilt - rebuilt < now_dirty - dirty);
+                    (dirty, rebuilt) = (now_dirty, now_rebuilt);
+                }
+                assert_matches_full_recompute(&engine, scenario.label());
+            }
+        }
+    }
+    // Non-vacuity: some commit kept a marked root's cached tree.
+    assert!(skipped_commits > 0, "no commit skipped a marked root");
 }
 
 #[test]

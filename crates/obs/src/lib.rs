@@ -202,7 +202,7 @@ pub enum ObsEvent {
         epoch: u64,
         /// Number of topology changes in the batch.
         batch: u32,
-        /// Dirty-ball size (nodes recomputed).
+        /// Dirty-ball size (nodes marked; a superset of the rebuilt trees).
         dirty: u32,
         /// Spanner edges added by the delta.
         added: u32,

@@ -243,7 +243,7 @@ pub struct Metrics {
     pub rounds: usize,
     /// Topology changes across all batches.
     pub batch_changes: usize,
-    /// Dirty (recomputed) nodes across all commits.
+    /// Dirty-ball nodes (`SpannerDelta::recomputed`) across all commits.
     pub dirty_total: usize,
     /// Spanner edges that entered or left across all commits.
     pub spanner_flips: usize,

@@ -112,9 +112,11 @@ pub enum Counter {
     EngineCommits = 0,
     /// Engine: topology changes across all committed batches.
     EngineBatchChanges,
-    /// Engine: nodes whose local structures were recomputed.
+    /// Engine: nodes marked dirty (the dirty ball, a superset of the
+    /// rebuilt trees).
     EngineDirtyNodes,
-    /// Engine: dominator trees rebuilt (the parallel-worker unit of work).
+    /// Engine: dominator trees actually rebuilt (the parallel-worker unit of
+    /// work).
     EngineTreesRebuilt,
     /// Delta router: repair passes run (one per commit).
     RouterRepairs,
@@ -232,7 +234,7 @@ impl Counter {
         match self {
             Counter::EngineCommits => "Engine batches committed",
             Counter::EngineBatchChanges => "Topology changes committed",
-            Counter::EngineDirtyNodes => "Nodes recomputed by commits",
+            Counter::EngineDirtyNodes => "Nodes marked dirty by commits",
             Counter::EngineTreesRebuilt => "Dominator trees rebuilt",
             Counter::RouterRepairs => "Delta-router repair passes",
             Counter::RouterRepairedRows => "Routing rows recomputed",
@@ -364,11 +366,11 @@ pub enum Span {
     /// Engine: dirty-ball BFS marking around batch endpoints.
     #[default]
     Mark = 0,
-    /// Engine: retiring the trees of dirty nodes.
+    /// Engine: retiring the dirty trees that can change.
     Retire,
-    /// Engine: recomputing trees for dirty nodes (per-worker busy time).
+    /// Engine: rebuilding the retired trees (per-worker busy time).
     Rebuild,
-    /// Engine: installing the recomputed trees.
+    /// Engine: installing the rebuilt trees.
     Install,
     /// Engine: assembling the spanner delta.
     Delta,
