@@ -22,11 +22,7 @@ use crate::sim::{AsimStats, AsyncNetwork, FaultHook};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rspan_distributed::transport::WireSize;
-use rspan_distributed::RepairNode;
-// The wave-arming seam lives next to `RepairNode` so real transports
-// (rspan-net) can drive the same protocol without depending on this crate;
-// re-exported here for source compatibility.
-pub use rspan_distributed::WaveNode;
+use rspan_distributed::{RepairNode, WaveNode};
 use rspan_engine::{ChurnScenario, RspanEngine, SpannerDelta, TopologyChange};
 use rspan_graph::Node;
 use rspan_obs::{ObsEvent, ObsHandle, WaveId};

@@ -1,13 +1,13 @@
 //! # rspan-asim — the asynchronous execution layer
 //!
 //! The paper specifies its distributed construction in synchronized rounds,
-//! and [`rspan_distributed::SyncNetwork`] executes exactly that model.  Real
+//! and [`SyncNetwork::run_protocol`] executes exactly that model.  Real
 //! OLSR-style wireless networks are asynchronous: frames are delayed by
 //! contention, reordered, lost, and nodes crash and recover.  This crate is
 //! a **deterministic discrete-event simulator** for that regime, running the
-//! *same* [`ProtocolNode`] state machines the synchronous simulator runs —
-//! the round scheduler and the event scheduler are two scheduling policies
-//! over one protocol implementation.
+//! *same* [`ProtocolNode`] state machines the round scheduler runs —
+//! [`ProtocolNode`] is the one node interface of the round scheduler, this
+//! event scheduler and the `rspan-net` live workers.
 //!
 //! * [`sim`] — the event core: a binary-heap queue over a virtual clock,
 //!   with crash/recover, delivery and timer events totally ordered by
@@ -31,10 +31,10 @@
 //! seeded [`rand::rngs::SmallRng`] streams, and node state machines are
 //! deterministic functions of their callback sequence.  With unit latency
 //! and zero loss the event schedule *is* the synchronous round schedule:
-//! the equivalence is pinned bit-for-bit against [`SyncNetwork`] in
-//! `tests/proptest_asim.rs`.
+//! the equivalence is pinned bit-for-bit against [`SyncNetwork::run_protocol`]
+//! in `tests/proptest_asim.rs`.
 //!
-//! [`SyncNetwork`]: rspan_distributed::SyncNetwork
+//! [`SyncNetwork::run_protocol`]: rspan_distributed::SyncNetwork::run_protocol
 //! [`ProtocolNode`]: rspan_distributed::ProtocolNode
 
 #![warn(missing_docs)]
@@ -50,13 +50,13 @@ pub use byz::{
 };
 pub use churn::{
     run_repair_churn, AsyncChurnConfig, AsyncChurnRun, BoundaryInfo, CommittedRound,
-    RepairChurnDriver, RoundReport, WaveNode,
+    RepairChurnDriver, RoundReport,
 };
 pub use model::{Adversary, AsimConfig, LatencyModel, VTime};
 pub use rspan_obs::DropCause;
 pub use sim::{AsimStats, AsyncNetwork, FaultHook, FaultVerdict, TraceEvent};
 
-use rspan_distributed::{RemSpanNode, TreeStrategy};
+use rspan_distributed::{RemSpanNode, TreeAlgo};
 use rspan_graph::CsrGraph;
 
 /// Runs the full RemSpan protocol ([`RemSpanNode`]) on the event scheduler
@@ -69,11 +69,11 @@ use rspan_graph::CsrGraph;
 /// and [`AsimStats`] measure.
 pub fn run_remspan_protocol_async(
     graph: &CsrGraph,
-    strategy: TreeStrategy,
+    algo: TreeAlgo,
     cfg: AsimConfig,
     max_events: u64,
 ) -> AsyncNetwork<RemSpanNode> {
-    let mut net = AsyncNetwork::from_adjacency(graph, cfg, |_| RemSpanNode::new(strategy));
+    let mut net = AsyncNetwork::from_adjacency(graph, cfg, |_| RemSpanNode::new(algo));
     net.start();
     assert!(
         net.run_to_quiescence(max_events),

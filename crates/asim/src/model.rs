@@ -8,7 +8,7 @@ use rspan_graph::Node;
 
 /// Virtual time, in abstract clock ticks.  One tick is the synchronous
 /// round length: a constant-latency-1, zero-loss simulation reproduces the
-/// [`rspan_distributed::SyncNetwork`] round schedule exactly.
+/// [`rspan_distributed::SyncNetwork::run_protocol`] round schedule exactly.
 pub type VTime = u64;
 
 /// Per-transmission latency distribution of a link.
@@ -277,10 +277,10 @@ impl AsimConfig {
     }
 
     /// Synchronous-equivalent configuration: unit latency, no loss.  With
-    /// this config the event scheduler reproduces [`SyncNetwork`] rounds
-    /// exactly (property-tested).
+    /// this config the event scheduler reproduces the rounds of
+    /// [`SyncNetwork::run_protocol`] exactly (property-tested).
     ///
-    /// [`SyncNetwork`]: rspan_distributed::SyncNetwork
+    /// [`SyncNetwork::run_protocol`]: rspan_distributed::SyncNetwork::run_protocol
     pub fn lockstep(seed: u64) -> Self {
         AsimConfig {
             seed,

@@ -6,8 +6,8 @@
 //! conventions the round scheduler implies: at an equal timestamp, node
 //! up/down state changes first, then deliveries, then timers (a timer armed
 //! "R ticks after the hellos" must observe every delivery of its own tick,
-//! exactly as [`SyncNetwork::run_protocol`] fires round-`r` timers after the
-//! round-`r` inbox).
+//! exactly as [`SyncNetwork::run_protocol`] fires a node's due timers after
+//! that node's deliveries of the same time).
 //!
 //! Everything is deterministic: one seeded RNG drives loss and latency
 //! draws, the sequence counter breaks timestamp ties in scheduling order,
@@ -245,7 +245,7 @@ where
 {
     /// Builds a simulator over any adjacency (CSR graph, dynamic overlay,
     /// …), materialising sorted neighbor lists once — the same construction
-    /// as [`rspan_distributed::SyncNetwork::from_adjacency`].
+    /// as [`rspan_distributed::SyncNetwork::new`].
     pub fn from_adjacency<A, F>(graph: &A, cfg: AsimConfig, mut make_node: F) -> Self
     where
         A: Adjacency + ?Sized,

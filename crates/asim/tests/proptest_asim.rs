@@ -15,7 +15,7 @@
 use rspan_asim::{
     run_remspan_protocol_async, Adversary, AsimConfig, AsyncNetwork, LatencyModel, VTime,
 };
-use rspan_distributed::{restabilise_flood, run_remspan_protocol, RepairNode, TreeStrategy};
+use rspan_distributed::{restabilise_flood, run_remspan_protocol, RepairNode};
 use rspan_domtree::TreeAlgo;
 use rspan_engine::{RspanEngine, TopologyChange};
 use rspan_graph::generators::er::gnp_connected;
@@ -51,11 +51,11 @@ fn lockstep_full_protocol_matches_sync_bit_for_bit() {
         ("udg100".into(), uniform_udg(100, 5.0, 1.0, 9).graph),
     ];
     let strategies = [
-        TreeStrategy::KGreedy { k: 1 },
-        TreeStrategy::KGreedy { k: 2 },
-        TreeStrategy::KMis { k: 2 },
-        TreeStrategy::Mis { r: 2 },
-        TreeStrategy::Greedy { r: 3, beta: 1 },
+        TreeAlgo::KGreedy { k: 1 },
+        TreeAlgo::KGreedy { k: 2 },
+        TreeAlgo::KMis { k: 2 },
+        TreeAlgo::Mis { r: 2 },
+        TreeAlgo::Greedy { r: 3, beta: 1 },
     ];
     for (name, g) in &graphs {
         for strategy in strategies {
@@ -282,7 +282,7 @@ fn crashed_dirty_node_refloods_on_recovery_and_network_reconverges() {
     // Message cost stays proportional to the dirty balls: far below a full
     // protocol re-run on the same topology.
     let csr = engine.to_csr();
-    let full = run_remspan_protocol(&csr, TreeStrategy::KGreedy { k: 2 });
+    let full = run_remspan_protocol(&csr, TreeAlgo::KGreedy { k: 2 });
     assert!(
         net.stats().delivered < full.stats.messages / 2,
         "incremental {} vs full {}",
@@ -312,7 +312,7 @@ fn replay_full_protocol_trace_is_identical_per_seed() {
     };
     let run = |cfg: AsimConfig| {
         let mut net = AsyncNetwork::from_adjacency(&g, cfg, |_| {
-            rspan_distributed::RemSpanNode::new(TreeStrategy::KGreedy { k: 2 })
+            rspan_distributed::RemSpanNode::new(TreeAlgo::KGreedy { k: 2 })
         });
         net.schedule_crash(3, 5);
         net.schedule_recover(11, 5);
@@ -365,7 +365,7 @@ fn loss_degrades_coverage_gracefully_not_catastrophically() {
     let g = uniform_udg(150, 6.0, 1.0, 23).graph;
     let lossless = run_remspan_protocol_async(
         &g,
-        TreeStrategy::KGreedy { k: 2 },
+        TreeAlgo::KGreedy { k: 2 },
         AsimConfig::lockstep(1),
         10_000_000,
     );
@@ -374,8 +374,7 @@ fn loss_degrades_coverage_gracefully_not_catastrophically() {
         max_retries: 2,
         ..AsimConfig::lockstep(1)
     };
-    let lossy =
-        run_remspan_protocol_async(&g, TreeStrategy::KGreedy { k: 2 }, lossy_cfg, 10_000_000);
+    let lossy = run_remspan_protocol_async(&g, TreeAlgo::KGreedy { k: 2 }, lossy_cfg, 10_000_000);
     let computed = |net: &AsyncNetwork<rspan_distributed::RemSpanNode>| {
         net.nodes().iter().filter(|n| n.has_computed()).count()
     };

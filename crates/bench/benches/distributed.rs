@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rspan_bench::scaled_density_udg;
 use rspan_core::exact_remote_spanner;
-use rspan_distributed::{greedy_route, run_remspan_protocol, TreeStrategy};
+use rspan_distributed::{greedy_route, run_remspan_protocol};
+use rspan_domtree::TreeAlgo;
 use rspan_graph::Node;
 
 fn protocol_execution(c: &mut Criterion) {
@@ -14,14 +15,14 @@ fn protocol_execution(c: &mut Criterion) {
         let w = scaled_density_udg(n, 12.0, 23);
         group.bench_with_input(BenchmarkId::new("remspan_k1", n), &w.graph, |b, g| {
             b.iter(|| {
-                run_remspan_protocol(g, TreeStrategy::KGreedy { k: 1 })
+                run_remspan_protocol(g, TreeAlgo::KGreedy { k: 1 })
                     .stats
                     .messages
             })
         });
         group.bench_with_input(BenchmarkId::new("remspan_thm3", n), &w.graph, |b, g| {
             b.iter(|| {
-                run_remspan_protocol(g, TreeStrategy::KMis { k: 2 })
+                run_remspan_protocol(g, TreeAlgo::KMis { k: 2 })
                     .stats
                     .messages
             })

@@ -9,7 +9,8 @@
 //! Run with `cargo run -p rspan-bench --release --bin rounds`.
 
 use rspan_bench::{format_table, scaled_density_udg, Cell, Table};
-use rspan_distributed::{run_remspan_protocol, TreeStrategy};
+use rspan_distributed::run_remspan_protocol;
+use rspan_domtree::TreeAlgo;
 
 fn main() {
     println!("=== E9: rounds and messages of the distributed construction ===\n");
@@ -23,7 +24,7 @@ fn main() {
         "messages",
         "messages / node",
     ]);
-    let strategy = TreeStrategy::KGreedy { k: 1 };
+    let strategy = TreeAlgo::KGreedy { k: 1 };
     let mut rounds_seen = Vec::new();
     for &n in &sizes {
         let w = scaled_density_udg(n, 12.0, 51);
@@ -59,7 +60,7 @@ fn main() {
     let w = scaled_density_udg(400, 12.0, 52);
     for &eps in &[1.0f64, 0.5, 1.0 / 3.0, 0.25] {
         let r = rspan_core::epsilon_radius(eps);
-        let strategy = TreeStrategy::Mis { r };
+        let strategy = TreeAlgo::Mis { r };
         let run = run_remspan_protocol(&w.graph, strategy);
         assert!(run.stats.rounds <= strategy.expected_rounds() + 1);
         table.push_row(vec![

@@ -14,7 +14,7 @@ use rspan_core::{
     greedy_spanner, k_connecting_remote_spanner, spanner_as_remote_guarantee,
     two_connecting_remote_spanner, verify_plain_stretch, verify_remote_stretch, BuiltSpanner,
 };
-use rspan_distributed::TreeStrategy;
+use rspan_domtree::TreeAlgo;
 use rspan_graph::generators::er::gnp_connected;
 use rspan_graph::CsrGraph;
 
@@ -73,7 +73,7 @@ fn main() {
         "any graph",
         &any_graph,
         &kc,
-        &TreeStrategy::KGreedy { k }.expected_rounds().to_string(),
+        &TreeAlgo::KGreedy { k }.expected_rounds().to_string(),
     );
 
     // Row: (1, 0)-remote-spanner on a random UDG (Theorem 2, k = 1).
@@ -85,7 +85,7 @@ fn main() {
         "rand. UDG",
         &rand_udg,
         &udg_exact,
-        &TreeStrategy::KGreedy { k: 1 }.expected_rounds().to_string(),
+        &TreeAlgo::KGreedy { k: 1 }.expected_rounds().to_string(),
     );
 
     // Row: (1+ε, 1−2ε)-remote-spanner on a UBG with unknown distances (Thm 1).
@@ -97,7 +97,7 @@ fn main() {
         "UBG unknown dist.",
         &ubg,
         &eps,
-        &TreeStrategy::Mis { r: 3 }.expected_rounds().to_string(),
+        &TreeAlgo::Mis { r: 3 }.expected_rounds().to_string(),
     );
     // Row: 2-connecting (2, −1)-remote-spanner on the UBG (Theorem 3).
     let two = two_connecting_remote_spanner(&ubg);
@@ -106,7 +106,7 @@ fn main() {
         "UBG unknown dist.",
         &ubg,
         &two,
-        &TreeStrategy::KMis { k: 2 }.expected_rounds().to_string(),
+        &TreeAlgo::KMis { k: 2 }.expected_rounds().to_string(),
     );
 
     println!("{}", format_table(&table));

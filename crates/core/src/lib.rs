@@ -40,7 +40,6 @@ pub use kverify::{
 };
 pub use remspan::{
     rem_span, rem_span_algo, rem_span_algo_parallel, rem_span_local, rem_span_local_algo,
-    rem_span_parallel,
 };
 pub use stats::{advertisement_cost, spanner_degree, spanner_stats, SpannerStats};
 pub use strategies::{

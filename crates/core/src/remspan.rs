@@ -21,9 +21,9 @@
 //!   through the pooled [`local_view_into`]) and translated back, which
 //!   checks the paper's locality claim: no global knowledge or coordination
 //!   between node decisions is needed,
-//! * [`rem_span`] / [`rem_span_parallel`] / [`rem_span_local`] — the generic
-//!   closure-based equivalents, kept for callers that plug in custom tree
-//!   builders (they allocate one tree per node).
+//! * [`rem_span`] / [`rem_span_local`] — the generic closure-based
+//!   equivalents, kept for callers that plug in custom tree builders (they
+//!   allocate one tree per node).
 
 use rspan_domtree::{DomScratch, DominatingTree, TreeAlgo};
 use rspan_graph::{
@@ -33,7 +33,7 @@ use rspan_graph::{
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Nodes claimed per fetch of the shared work counter in the parallel
-/// drivers: large enough to keep contention negligible, small enough to
+/// driver: large enough to keep contention negligible, small enough to
 /// balance irregular per-node tree costs.
 const NODE_CHUNK: usize = 64;
 
@@ -52,31 +52,30 @@ pub fn rem_span_algo(graph: &CsrGraph, algo: TreeAlgo) -> Subgraph<'_> {
     Subgraph::new(graph, edges)
 }
 
-/// Shared scaffold of both parallel drivers: `threads` scoped workers claim
-/// [`NODE_CHUNK`]-sized chunks of nodes from an atomic counter; each worker
-/// holds private state from `init` plus a private [`EdgeSet`], and the worker
-/// sets are merged after the scope ends through the *sharded* word-level
-/// union ([`EdgeSet::union_with_all`]): the merge itself fans the bit words
-/// back out across the same worker count, so combining `t` per-worker sets
-/// costs one parallel pass over the words instead of `t` sequential ones —
-/// **no mutex is acquired anywhere**, in particular not in the per-node loop.
-/// The result equals the sequential union exactly because edge-set union is
+/// Builds the remote-spanner with per-node trees computed on `threads` worker
+/// threads (0 = available parallelism).  The scoped workers claim
+/// `NODE_CHUNK`-sized chunks of nodes from an atomic counter; each owns a
+/// private [`DomScratch`] and a private [`EdgeSet`], and the worker sets are
+/// merged after the scope ends through the *sharded* word-level union
+/// ([`EdgeSet::union_with_all`]): the merge itself fans the bit words back
+/// out across the same worker count, so combining `t` per-worker sets costs
+/// one parallel pass over the words instead of `t` sequential ones — **no
+/// mutex is acquired anywhere**, in particular not in the per-node loop.
+/// The result equals [`rem_span_algo`] exactly because edge-set union is
 /// associative and commutative.
-fn parallel_union<S, I, F>(graph: &CsrGraph, threads: usize, init: I, per_node: F) -> EdgeSet
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, Node, &mut EdgeSet) + Sync,
-{
+pub fn rem_span_algo_parallel(graph: &CsrGraph, algo: TreeAlgo, threads: usize) -> Subgraph<'_> {
+    let threads = resolve_threads(threads);
     let n = graph.n();
+    if threads <= 1 || n < 64 {
+        return rem_span_algo(graph, algo);
+    }
     let counter = AtomicUsize::new(0);
     let counter = &counter;
-    let init = &init;
-    let per_node = &per_node;
     let locals: Vec<EdgeSet> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut state = init();
+                    let mut scratch = DomScratch::with_capacity(n);
                     let mut local = EdgeSet::empty(graph);
                     loop {
                         let start = counter.fetch_add(NODE_CHUNK, Ordering::Relaxed);
@@ -84,7 +83,10 @@ where
                             break;
                         }
                         for u in start..(start + NODE_CHUNK).min(n) {
-                            per_node(&mut state, u as Node, &mut local);
+                            let tree = algo.build_with_scratch(graph, u as Node, &mut scratch);
+                            tree.for_each_edge_id(graph, |e| {
+                                local.insert(e);
+                            });
                         }
                     }
                     local
@@ -98,29 +100,6 @@ where
     });
     let mut edges = EdgeSet::empty(graph);
     edges.union_with_all(&locals, threads);
-    edges
-}
-
-/// Builds the remote-spanner with per-node trees computed on `threads` worker
-/// threads (0 = available parallelism).  Each worker owns a private
-/// [`DomScratch`]; see `parallel_union` for the lock-free merge.  The
-/// result equals [`rem_span_algo`] exactly.
-pub fn rem_span_algo_parallel(graph: &CsrGraph, algo: TreeAlgo, threads: usize) -> Subgraph<'_> {
-    let threads = resolve_threads(threads);
-    if threads <= 1 || graph.n() < 64 {
-        return rem_span_algo(graph, algo);
-    }
-    let edges = parallel_union(
-        graph,
-        threads,
-        || DomScratch::with_capacity(graph.n()),
-        |scratch, u, local| {
-            let tree = algo.build_with_scratch(graph, u, scratch);
-            tree.for_each_edge_id(graph, |e| {
-                local.insert(e);
-            });
-        },
-    );
     Subgraph::new(graph, edges)
 }
 
@@ -169,31 +148,6 @@ where
             edges.insert(e);
         });
     }
-    Subgraph::new(graph, edges)
-}
-
-/// Closure-based parallel driver (see [`rem_span_algo_parallel`] for the
-/// pooled equivalent); same lock-free `parallel_union` scaffold.  The
-/// result is identical to [`rem_span`].
-pub fn rem_span_parallel<'g, F>(graph: &'g CsrGraph, strategy: F, threads: usize) -> Subgraph<'g>
-where
-    F: Fn(&CsrGraph, Node) -> DominatingTree + Sync,
-{
-    let threads = resolve_threads(threads);
-    if threads <= 1 || graph.n() < 64 {
-        return rem_span(graph, strategy);
-    }
-    let edges = parallel_union(
-        graph,
-        threads,
-        || (),
-        |_, u, local| {
-            let tree = strategy(graph, u);
-            tree.for_each_edge_id(graph, |e| {
-                local.insert(e);
-            });
-        },
-    );
     Subgraph::new(graph, edges)
 }
 
@@ -276,9 +230,7 @@ mod tests {
     fn parallel_equals_sequential() {
         let g = gnp_connected(150, 0.05, 3);
         let seq = rem_span(&g, |g, u| dom_tree_k_greedy(g, u, 2));
-        let par = rem_span_parallel(&g, |g, u| dom_tree_k_greedy(g, u, 2), 4);
-        assert_eq!(seq.edge_set(), par.edge_set());
-        // pooled drivers agree with both
+        // pooled drivers agree with the closure driver
         let pooled_seq = rem_span_algo(&g, TreeAlgo::KGreedy { k: 2 });
         let pooled_par = rem_span_algo_parallel(&g, TreeAlgo::KGreedy { k: 2 }, 4);
         assert_eq!(seq.edge_set(), pooled_seq.edge_set());

@@ -36,8 +36,8 @@ pub fn apply_change(graph: &CsrGraph, change: TopologyChange) -> CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::TreeStrategy;
     use rspan_core::{rem_span, verify_remote_stretch, StretchGuarantee};
+    use rspan_domtree::TreeAlgo;
     use rspan_engine::RspanEngine;
     use rspan_graph::generators::er::gnp_connected;
     use rspan_graph::generators::structured::{cycle_graph, grid_graph};
@@ -78,7 +78,7 @@ mod tests {
 
     #[test]
     fn restabilised_spanner_matches_full_recomputation() {
-        let strategy = TreeStrategy::KGreedy { k: 1 };
+        let strategy = TreeAlgo::KGreedy { k: 1 };
         for seed in [1u64, 2, 3] {
             let g = gnp_connected(60, 0.08, seed);
             // Pick an existing edge to remove and a missing pair to add.
@@ -97,10 +97,10 @@ mod tests {
                 TopologyChange::AddEdge(add.unwrap().0, add.unwrap().1),
             ] {
                 let g2 = apply_change(&g, change);
-                let mut engine = RspanEngine::new(g.clone(), strategy.algo());
+                let mut engine = RspanEngine::new(g.clone(), strategy);
                 engine.commit(&[change]);
                 let incremental = engine.spanner_on(&g2);
-                let full = rem_span(&g2, |g, u| strategy.build_tree(g, u));
+                let full = rem_span(&g2, |g, u| strategy.build(g, u));
                 assert_eq!(
                     incremental.edge_set(),
                     full.edge_set(),
@@ -117,8 +117,8 @@ mod tests {
         let g = &inst.graph;
         let (eu, ev) = g.edges().next().unwrap();
         let change = TopologyChange::RemoveEdge(eu, ev);
-        let strategy = TreeStrategy::KGreedy { k: 2 };
-        let mut engine = RspanEngine::new(g.clone(), strategy.algo());
+        let strategy = TreeAlgo::KGreedy { k: 2 };
+        let mut engine = RspanEngine::new(g.clone(), strategy);
         let delta = engine.commit(&[change]);
         let fraction = delta.recomputed_fraction(g.n());
         assert!(
@@ -135,10 +135,10 @@ mod tests {
         let g = grid_graph(6, 6);
         let change = TopologyChange::AddEdge(0, 35);
         let g2 = apply_change(&g, change);
-        let strategy = TreeStrategy::Mis { r: 3 };
-        let mut engine = RspanEngine::new(g.clone(), strategy.algo());
+        let strategy = TreeAlgo::Mis { r: 3 };
+        let mut engine = RspanEngine::new(g.clone(), strategy);
         engine.commit(&[change]);
-        let full = rem_span(&g2, |g, u| strategy.build_tree(g, u));
+        let full = rem_span(&g2, |g, u| strategy.build(g, u));
         assert_eq!(engine.spanner_on(&g2).edge_set(), full.edge_set());
     }
 }

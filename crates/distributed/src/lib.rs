@@ -7,11 +7,12 @@
 //!
 //! * [`transport`] — the scheduler-agnostic protocol substrate: per-node
 //!   [`transport::ProtocolNode`] state machines talking to a
-//!   [`transport::Transport`], shared between the synchronous round
-//!   scheduler here and the asynchronous event scheduler in `rspan-asim`,
+//!   [`transport::Transport`], the one node interface that the synchronous
+//!   round scheduler here, the asynchronous event scheduler in `rspan-asim`
+//!   and the live workers in `rspan-net` all run,
 //! * [`sim`] — a synchronous message-passing simulator with round and
 //!   transmission accounting (the substitute for a real ad-hoc radio network,
-//!   see DESIGN.md) — one scheduling policy over the shared node machines,
+//!   see DESIGN.md), and the lockstep reference for the event scheduler,
 //! * [`protocol`] — the `RemSpan_{r,β}` protocol of Algorithm 3 as a per-node
 //!   state machine (hello, link-state flooding, local tree computation, tree
 //!   advertisement), finishing in `2r − 1 + 2β` rounds, plus the §2.3
@@ -50,14 +51,16 @@ pub use delta::{DeltaRouter, RepairStats};
 pub use dynamics::{apply_change, TopologyChange};
 pub use protocol::{
     restabilise_flood, run_remspan_protocol, DistributedRun, IncrementalRun, RemSpanMsg,
-    RemSpanNode, RepairMsg, RepairNode, TreeStrategy, WaveNode,
+    RemSpanNode, RepairMsg, RepairNode, WaveNode,
 };
 pub use rb::{Auth, Fnv64, RbMsg, RbNode, RbPayload, RbStats, SeededAuth};
 pub use routing::{
     greedy_route, greedy_route_with_scratch, measure_routing, RouteOutcome, RoutingReport,
 };
-pub use sim::{NodeState, RunStats, SyncNetwork};
+pub use sim::{RunStats, SyncNetwork};
 pub use tables::{tables_are_consistent, RoutingTables};
-pub use transport::{
-    BufferedTransport, Envelope, Outgoing, PendingOps, ProtocolNode, Transport, WireSize,
-};
+pub use transport::{BufferedTransport, Outgoing, PendingOps, ProtocolNode, Transport, WireSize};
+
+// The tree algorithm `RemSpanNode::new` and `run_remspan_protocol` take, so
+// that crates without an `rspan-domtree` dependency can name it.
+pub use rspan_domtree::TreeAlgo;

@@ -14,12 +14,13 @@
 //!
 //! The node logic is scheduler-agnostic: under the synchronous rounds of
 //! [`SyncNetwork::run_protocol`] the protocol finishes in `2R + 1 =
-//! 2r − 1 + 2β` rounds, matching the paper's time bound, and the union of
-//! advertised trees is asserted (in the tests) to equal the centralized
-//! [`rspan_core::rem_span`] construction.  The same state machines run
-//! unchanged on the `rspan-asim` event scheduler, where latency spread and
-//! packet loss make the timer fire against a *partial* view — exactly the
-//! degradation a real asynchronous deployment exhibits, now measurable.
+//! 2r − 1 + 2β` rounds ([`TreeAlgo::expected_rounds`]), matching the paper's
+//! time bound, and the union of advertised trees is asserted (in the tests)
+//! to equal the centralized [`rspan_core::rem_span`] construction.  The same
+//! state machines run unchanged on the `rspan-asim` event scheduler, where
+//! latency spread and packet loss make the timer fire against a *partial*
+//! view — exactly the degradation a real asynchronous deployment exhibits,
+//! now measurable — and on the live `rspan-net` workers.
 //!
 //! Under churn the full protocol never re-runs: [`restabilise_flood`] plays
 //! §2.3's stabilisation — after an [`rspan_engine::RspanEngine::commit`],
@@ -32,77 +33,11 @@
 
 use crate::sim::{RunStats, SyncNetwork};
 use crate::transport::{Outgoing, ProtocolNode, Transport, WireSize};
-use rspan_domtree::{DomScratch, DominatingTree, TreeAlgo};
+use rspan_domtree::TreeAlgo;
 use rspan_engine::{RspanEngine, SpannerDelta};
 use rspan_graph::{CsrGraph, EdgeSet, GraphBuilder, Node, Subgraph};
 use rspan_obs::{DropCause, FrameKind, FrameMeta, WaveId};
 use std::collections::{HashMap, HashSet};
-
-/// Which dominating-tree algorithm each node runs on its local view.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TreeStrategy {
-    /// Algorithm 1, `DomTreeGdy_{r,β}`.
-    Greedy {
-        /// Dominating-tree radius `r`.
-        r: u32,
-        /// Dominating-tree slack `β`.
-        beta: u32,
-    },
-    /// Algorithm 2, `DomTreeMIS_{r,1}`.
-    Mis {
-        /// Dominating-tree radius `r`.
-        r: u32,
-    },
-    /// Algorithm 4, `DomTreeGdy_{2,0,k}`.
-    KGreedy {
-        /// Coverage / connectivity parameter `k`.
-        k: usize,
-    },
-    /// Algorithm 5, `DomTreeMIS_{2,1,k}`.
-    KMis {
-        /// Coverage / connectivity parameter `k`.
-        k: usize,
-    },
-}
-
-impl TreeStrategy {
-    /// The equivalent [`TreeAlgo`] handle (the pooled build entry point).
-    pub fn algo(&self) -> TreeAlgo {
-        match *self {
-            TreeStrategy::Greedy { r, beta } => TreeAlgo::Greedy { r, beta },
-            TreeStrategy::Mis { r } => TreeAlgo::Mis { r },
-            TreeStrategy::KGreedy { k } => TreeAlgo::KGreedy { k },
-            TreeStrategy::KMis { k } => TreeAlgo::KMis { k },
-        }
-    }
-
-    /// The knowledge radius `R = r − 1 + β` Algorithm 3 floods to for this
-    /// strategy.
-    pub fn knowledge_radius(&self) -> u32 {
-        self.algo().knowledge_radius()
-    }
-
-    /// Runs the strategy on a concrete graph for a root node.
-    pub fn build_tree(&self, graph: &CsrGraph, root: Node) -> DominatingTree {
-        self.algo().build(graph, root)
-    }
-
-    /// Pooled form of [`TreeStrategy::build_tree`]; the result borrows from
-    /// `scratch` until the next build.
-    pub fn build_tree_with_scratch<'s>(
-        &self,
-        graph: &CsrGraph,
-        root: Node,
-        scratch: &'s mut DomScratch,
-    ) -> &'s DominatingTree {
-        self.algo().build_with_scratch(graph, root, scratch)
-    }
-
-    /// Expected protocol duration in rounds: `2R + 1`.
-    pub fn expected_rounds(&self) -> u32 {
-        2 * self.knowledge_radius() + 1
-    }
-}
 
 /// Protocol messages.
 #[derive(Clone, Debug)]
@@ -132,7 +67,7 @@ const COMPUTE_TIMER: u32 = 0;
 
 /// Per-node state of the RemSpan protocol.
 pub struct RemSpanNode {
-    strategy: TreeStrategy,
+    algo: TreeAlgo,
     /// Learned neighbor lists, keyed by origin.
     link_state: HashMap<Node, Vec<Node>>,
     /// Origins already re-flooded (duplicate suppression).
@@ -150,10 +85,11 @@ pub struct RemSpanNode {
 }
 
 impl RemSpanNode {
-    /// Creates the initial state for one node.
-    pub fn new(strategy: TreeStrategy) -> Self {
+    /// Creates the initial state for one node, which runs `algo` on its
+    /// local view.
+    pub fn new(algo: TreeAlgo) -> Self {
         RemSpanNode {
-            strategy,
+            algo,
             link_state: HashMap::new(),
             seen_ls: HashSet::new(),
             seen_tree: HashSet::new(),
@@ -208,7 +144,7 @@ impl RemSpanNode {
             }
         }
         let local = builder.build();
-        let tree = self.strategy.build_tree(&local, index_of(me));
+        let tree = self.algo.build(&local, index_of(me));
         self.computed_tree_edges = tree
             .edges()
             .into_iter()
@@ -247,7 +183,7 @@ impl ProtocolNode for RemSpanNode {
 
     fn on_message(&mut self, net: &mut dyn Transport<RemSpanMsg>, from: Node, msg: &RemSpanMsg) {
         let me = net.me();
-        let radius = self.strategy.knowledge_radius();
+        let radius = self.algo.knowledge_radius();
         match msg {
             RemSpanMsg::Hello(origin) => {
                 debug_assert_eq!(*origin, from);
@@ -318,7 +254,7 @@ impl ProtocolNode for RemSpanNode {
             net.send(Outgoing::Broadcast(RemSpanMsg::TreeAdvert(
                 me,
                 self.computed_tree_edges.clone(),
-                self.strategy.knowledge_radius(),
+                self.algo.knowledge_radius(),
             )));
         }
         self.done = true;
@@ -339,12 +275,12 @@ pub struct DistributedRun<'g> {
     pub incident_edge_counts: Vec<usize>,
 }
 
-/// Runs the RemSpan protocol on `graph` with the given per-node strategy and
-/// assembles the resulting remote-spanner.
-pub fn run_remspan_protocol(graph: &CsrGraph, strategy: TreeStrategy) -> DistributedRun<'_> {
+/// Runs the RemSpan protocol on `graph`, every node building its tree with
+/// `algo`, and assembles the resulting remote-spanner.
+pub fn run_remspan_protocol(graph: &CsrGraph, algo: TreeAlgo) -> DistributedRun<'_> {
     let net = SyncNetwork::new(graph);
-    let max_rounds = strategy.expected_rounds() + 4;
-    let (states, stats) = net.run_protocol(|_u| RemSpanNode::new(strategy), max_rounds);
+    let max_rounds = algo.expected_rounds() + 4;
+    let (states, stats) = net.run_protocol(|_u| RemSpanNode::new(algo), max_rounds);
     let mut edges = EdgeSet::empty(graph);
     for (u, st) in states.iter().enumerate() {
         for &(a, b) in st.tree_edges() {
@@ -756,7 +692,7 @@ pub struct IncrementalRun {
 
 /// Runs the §2.3 restabilisation flood for one engine commit: the simulator
 /// is built straight over the engine's live overlay topology
-/// ([`SyncNetwork::from_adjacency`] — no CSR snapshot), the commit's
+/// ([`SyncNetwork::new`] — no CSR snapshot), the commit's
 /// recomputed nodes re-flood their link state and new trees to distance
 /// `R = r − 1 + β`, and everyone else forwards.  An empty delta floods
 /// nothing.
@@ -787,7 +723,7 @@ pub fn restabilise_flood(engine: &RspanEngine, delta: &SpannerDelta) -> Incremen
         };
     }
     let dirty: HashSet<Node> = delta.recomputed.iter().copied().collect();
-    let net = SyncNetwork::from_adjacency(engine.graph());
+    let net = SyncNetwork::new(engine.graph());
     // One round per TTL hop, plus the originating round and quiescence.
     let (states, stats) = net.run_protocol(
         |u| {
@@ -820,19 +756,9 @@ mod tests {
     use rspan_graph::generators::udg::uniform_udg;
 
     #[test]
-    fn strategy_metadata() {
-        assert_eq!(TreeStrategy::KGreedy { k: 1 }.knowledge_radius(), 1);
-        assert_eq!(TreeStrategy::KGreedy { k: 3 }.expected_rounds(), 3);
-        assert_eq!(TreeStrategy::KMis { k: 2 }.knowledge_radius(), 2);
-        assert_eq!(TreeStrategy::Mis { r: 3 }.knowledge_radius(), 3);
-        assert_eq!(TreeStrategy::Greedy { r: 3, beta: 1 }.knowledge_radius(), 3);
-        assert_eq!(TreeStrategy::Greedy { r: 2, beta: 0 }.expected_rounds(), 3);
-    }
-
-    #[test]
     fn distributed_matches_centralized_kgreedy() {
         for g in [cycle_graph(12), grid_graph(5, 5), petersen()] {
-            let run = run_remspan_protocol(&g, TreeStrategy::KGreedy { k: 1 });
+            let run = run_remspan_protocol(&g, TreeAlgo::KGreedy { k: 1 });
             let central = rem_span(&g, |g, u| rspan_domtree::dom_tree_k_greedy(g, u, 1));
             assert_eq!(run.spanner.edge_set(), central.edge_set());
         }
@@ -842,18 +768,18 @@ mod tests {
     fn distributed_matches_centralized_on_random_udg() {
         let inst = uniform_udg(120, 4.0, 1.0, 5);
         let g = &inst.graph;
-        for strategy in [
-            TreeStrategy::KGreedy { k: 2 },
-            TreeStrategy::KMis { k: 2 },
-            TreeStrategy::Mis { r: 3 },
-            TreeStrategy::Greedy { r: 3, beta: 1 },
+        for algo in [
+            TreeAlgo::KGreedy { k: 2 },
+            TreeAlgo::KMis { k: 2 },
+            TreeAlgo::Mis { r: 3 },
+            TreeAlgo::Greedy { r: 3, beta: 1 },
         ] {
-            let run = run_remspan_protocol(g, strategy);
-            let central = rem_span(g, |g, u| strategy.build_tree(g, u));
+            let run = run_remspan_protocol(g, algo);
+            let central = rem_span(g, |g, u| algo.build(g, u));
             assert_eq!(
                 run.spanner.edge_set(),
                 central.edge_set(),
-                "strategy {strategy:?} diverged from the centralized construction"
+                "{algo:?} diverged from the centralized construction"
             );
         }
     }
@@ -864,10 +790,10 @@ mod tests {
         // (R = 3 but the flood quiesces by round 2): the round scheduler
         // must keep the clock alive for the pending timers instead of
         // stranding every node uncomputed.
-        let strategy = TreeStrategy::Greedy { r: 3, beta: 1 };
+        let algo = TreeAlgo::Greedy { r: 3, beta: 1 };
         for g in [path_graph(2), path_graph(4), cycle_graph(5)] {
-            let run = run_remspan_protocol(&g, strategy);
-            let central = rem_span(&g, |g, u| strategy.build_tree(g, u));
+            let run = run_remspan_protocol(&g, algo);
+            let central = rem_span(&g, |g, u| algo.build(g, u));
             assert_eq!(
                 run.spanner.edge_set(),
                 central.edge_set(),
@@ -886,8 +812,8 @@ mod tests {
         let mut rounds_seen = Vec::new();
         for n in [40usize, 80, 160] {
             let g = gnp_connected(n, 8.0 / n as f64, 7);
-            let run = run_remspan_protocol(&g, TreeStrategy::KGreedy { k: 1 });
-            let bound = TreeStrategy::KGreedy { k: 1 }.expected_rounds() + 1;
+            let run = run_remspan_protocol(&g, TreeAlgo::KGreedy { k: 1 });
+            let bound = TreeAlgo::KGreedy { k: 1 }.expected_rounds() + 1;
             assert!(
                 run.stats.rounds <= bound,
                 "n={n}: {} rounds > {bound}",
@@ -902,7 +828,7 @@ mod tests {
     #[test]
     fn distributed_spanner_satisfies_the_stretch_guarantee() {
         let g = gnp_connected(60, 0.08, 3);
-        let run = run_remspan_protocol(&g, TreeStrategy::KGreedy { k: 1 });
+        let run = run_remspan_protocol(&g, TreeAlgo::KGreedy { k: 1 });
         let guarantee = StretchGuarantee {
             alpha: 1.0,
             beta: 0.0,
@@ -917,7 +843,7 @@ mod tests {
         // tree-advertisement phase (this is what lets a node advertise the
         // right links in a link-state protocol).
         let g = grid_graph(6, 6);
-        let run = run_remspan_protocol(&g, TreeStrategy::KGreedy { k: 2 });
+        let run = run_remspan_protocol(&g, TreeAlgo::KGreedy { k: 2 });
         let mut per_node: Vec<HashSet<(Node, Node)>> = vec![HashSet::new(); g.n()];
         for (u, v) in run.spanner.edges() {
             per_node[u as usize].insert((u, v));
@@ -966,7 +892,7 @@ mod tests {
         assert_eq!(run.refreshed_link_state_counts, expect);
         // The incremental flood is far cheaper than re-running the full
         // protocol on the new topology.
-        let full = run_remspan_protocol(&csr, TreeStrategy::KGreedy { k: 2 });
+        let full = run_remspan_protocol(&csr, TreeAlgo::KGreedy { k: 2 });
         assert!(
             run.stats.messages < full.stats.messages / 2,
             "incremental {} vs full {}",
@@ -991,7 +917,7 @@ mod tests {
         // Flooding with TTL R costs Θ(Σ_u |B(u, R)| · deg) messages; on a
         // bounded-degree graph this is linear in n, far from n².
         let g = cycle_graph(100);
-        let run = run_remspan_protocol(&g, TreeStrategy::KGreedy { k: 1 });
+        let run = run_remspan_protocol(&g, TreeAlgo::KGreedy { k: 1 });
         assert!(run.stats.messages < (g.n() * g.n()) as u64 / 4);
         assert!(run.stats.messages >= g.n() as u64);
     }

@@ -3,38 +3,30 @@
 //!
 //! The paper's protocols are defined per node — *receive a message, update
 //! state, send messages* — and nothing in that definition depends on **when**
-//! messages arrive.  This module captures exactly that contract so the same
-//! node code runs under two scheduling policies:
+//! messages arrive.  This module captures exactly that contract, and
+//! [`ProtocolNode`] is the only node interface each of the three schedulers
+//! runs:
 //!
-//! * the synchronous LOCAL-model rounds of [`crate::sim::SyncNetwork`]
-//!   (every message takes exactly one round; all nodes step in lock-step),
-//!   via [`crate::sim::SyncNetwork::run_protocol`], and
+//! * the synchronous LOCAL-model rounds of
+//!   [`crate::sim::SyncNetwork::run_protocol`] (every message takes exactly
+//!   one round; all nodes step in lock-step),
 //! * the asynchronous discrete-event simulator of the `rspan-asim` crate
 //!   (per-link latency draws, Bernoulli loss with bounded retransmission,
 //!   crash/recover churn), where each delivery is its own event on a virtual
-//!   timeline.
+//!   timeline, and
+//! * the per-node worker threads of the `rspan-net` crate, over in-process
+//!   queues or loopback TCP sockets, on a monotonic wall clock.
 //!
 //! A node never sees the scheduler: it receives `on_start` / `on_message` /
 //! `on_timer` / `on_recover` callbacks and talks back through the
 //! [`Transport`] handed to it — sending to neighbors and arming timers in
 //! *abstract time units* (one unit = one synchronous round = one virtual
-//! clock tick).  Under the synchronous policy with unit latency and no loss
-//! the two schedulers are observably identical; the `rspan-asim` property
-//! tests pin that equivalence bit-for-bit.
+//! clock tick).  With unit latency and no loss the two simulators are
+//! observably identical; the `rspan-asim` lockstep property tests pin that
+//! equivalence bit-for-bit.
 
 use rspan_graph::Node;
 use rspan_obs::{DropCause, FrameMeta};
-
-/// A message in flight: payload plus addressing metadata.
-#[derive(Clone, Debug)]
-pub struct Envelope<M> {
-    /// Sending node.
-    pub from: Node,
-    /// Receiving node (always a graph neighbor of `from` at send time).
-    pub to: Node,
-    /// Protocol payload.
-    pub payload: M,
-}
 
 /// Outgoing transmission request produced by a node.
 #[derive(Clone, Debug)]
@@ -47,7 +39,7 @@ pub enum Outgoing<M> {
 
 /// What a protocol node can do to the network: the scheduler-side interface.
 ///
-/// Both schedulers hand a `Transport` to every callback.  Time is abstract:
+/// Every scheduler hands a `Transport` to every callback.  Time is abstract:
 /// [`Transport::now`] counts synchronous rounds under `SyncNetwork` and
 /// virtual clock ticks under `rspan-asim`; with unit latency the two agree.
 /// Real-time backends (rspan-net) map a monotonic wall clock onto the same
@@ -144,7 +136,7 @@ pub trait WireSize {
 }
 
 /// Send/timer requests buffered during one callback, drained by the
-/// scheduler afterwards.  Both schedulers reuse these buffers across
+/// scheduler afterwards.  Every scheduler reuses these buffers across
 /// callbacks, so steady-state rounds allocate nothing here.
 #[derive(Debug)]
 pub struct PendingOps<M> {
@@ -171,9 +163,10 @@ impl<M> PendingOps<M> {
     }
 }
 
-/// The one [`Transport`] implementation both schedulers use: callbacks write
-/// into a [`PendingOps`] buffer the scheduler interprets afterwards (rounds
-/// for `SyncNetwork`, heap events for `rspan-asim`).
+/// The one [`Transport`] implementation every scheduler uses: callbacks
+/// write into a [`PendingOps`] buffer the scheduler interprets afterwards
+/// (rounds for `SyncNetwork`, heap events for `rspan-asim`, frames and a
+/// timer wheel for the `rspan-net` workers).
 pub struct BufferedTransport<'a, M> {
     /// Node the callback runs on.
     pub me: Node,

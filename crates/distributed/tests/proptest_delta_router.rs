@@ -8,7 +8,8 @@
 //! current spanner.  The affected-row analysis may never change a route,
 //! only skip provably-unchanged rows.
 
-use rspan_distributed::{DeltaRouter, RoutingTables, TreeStrategy};
+use rspan_distributed::{DeltaRouter, RoutingTables};
+use rspan_domtree::TreeAlgo;
 use rspan_engine::{
     ChurnScenario, JoinLeaveScenario, LinkFlapScenario, MobilityScenario, RspanEngine,
 };
@@ -66,12 +67,12 @@ fn churn_mix(
 #[test]
 fn repaired_tables_stay_bit_identical_under_interleaved_churn() {
     for (strategy, seed) in [
-        (TreeStrategy::KGreedy { k: 2 }, 17u64),
-        (TreeStrategy::KGreedy { k: 1 }, 18),
-        (TreeStrategy::Mis { r: 2 }, 19),
+        (TreeAlgo::KGreedy { k: 2 }, 17u64),
+        (TreeAlgo::KGreedy { k: 1 }, 18),
+        (TreeAlgo::Mis { r: 2 }, 19),
     ] {
         let inst = uniform_udg(90, 5.0, 1.0, seed);
-        let mut engine = RspanEngine::new(inst.graph.clone(), strategy.algo());
+        let mut engine = RspanEngine::new(inst.graph.clone(), strategy);
         let mut router = DeltaRouter::new(&engine);
         assert_router_matches_full_build(&router, &engine, "initial");
         let mut scenarios = churn_mix(&inst, seed);
@@ -106,8 +107,8 @@ fn repaired_tables_stay_bit_identical_under_interleaved_churn() {
 #[test]
 fn churn_session_carries_engine_and_router_through_rounds() {
     let inst = uniform_udg(80, 5.0, 1.0, 33);
-    let strategy = TreeStrategy::KGreedy { k: 2 };
-    let mut engine = RspanEngine::new(inst.graph.clone(), strategy.algo());
+    let strategy = TreeAlgo::KGreedy { k: 2 };
+    let mut engine = RspanEngine::new(inst.graph.clone(), strategy);
     let mut router = DeltaRouter::new(&engine);
     let mut flap = LinkFlapScenario::new(&inst.graph, 4.0, 7);
     for round in 0..6 {

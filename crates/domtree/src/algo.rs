@@ -3,8 +3,9 @@
 //! The `RemSpan` drivers, the distributed protocol and the dynamics layer all
 //! need to name "which tree algorithm" at runtime and build one tree per node
 //! through a pooled [`DomScratch`].  [`TreeAlgo`] is that handle: a `Copy`
-//! enum with the paper's parameters, a shared knowledge-radius formula and
-//! both allocating and pooled build entry points.
+//! enum with the paper's parameters, the shared knowledge-radius and
+//! round-count formulas of Algorithm 3, and both allocating and pooled build
+//! entry points.
 
 use crate::greedy::dom_tree_greedy_with_scratch;
 use crate::kgreedy::dom_tree_k_greedy_with_scratch;
@@ -53,6 +54,13 @@ impl TreeAlgo {
         }
     }
 
+    /// Rounds Algorithm 3 takes under the synchronous schedule:
+    /// `2R + 1 = 2r − 1 + 2β`, with `R` the
+    /// [knowledge radius](TreeAlgo::knowledge_radius).
+    pub fn expected_rounds(&self) -> u32 {
+        2 * self.knowledge_radius() + 1
+    }
+
     /// Builds the tree for `root` through pooled scratch state; the result
     /// borrows from `scratch` until the next build.
     pub fn build_with_scratch<'s, A>(
@@ -95,6 +103,9 @@ mod tests {
         assert_eq!(TreeAlgo::Mis { r: 3 }.knowledge_radius(), 3);
         assert_eq!(TreeAlgo::KGreedy { k: 4 }.knowledge_radius(), 1);
         assert_eq!(TreeAlgo::KMis { k: 2 }.knowledge_radius(), 2);
+        assert_eq!(TreeAlgo::KGreedy { k: 3 }.expected_rounds(), 3);
+        assert_eq!(TreeAlgo::Greedy { r: 2, beta: 0 }.expected_rounds(), 3);
+        assert_eq!(TreeAlgo::Mis { r: 3 }.expected_rounds(), 7);
     }
 
     #[test]

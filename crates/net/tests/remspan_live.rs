@@ -8,14 +8,15 @@
 //! with exactly the same `radius`-hop knowledge the round-synchronous
 //! simulator gives it, and the computed trees match bit for bit.
 
-use rspan_distributed::{run_remspan_protocol, ProtocolNode, RemSpanNode, TreeStrategy};
+use rspan_distributed::{run_remspan_protocol, ProtocolNode, RemSpanNode};
+use rspan_domtree::TreeAlgo;
 use rspan_graph::generators::udg::uniform_udg;
 use rspan_graph::{Adjacency, Node};
 use rspan_net::{spawn_tcp, Cluster};
 use rspan_telemetry::TelemetryHandle;
 use std::time::Duration;
 
-const STRATEGY: TreeStrategy = TreeStrategy::KGreedy { k: 2 };
+const STRATEGY: TreeAlgo = TreeAlgo::KGreedy { k: 2 };
 
 fn adjacency_lists(graph: &impl Adjacency) -> Vec<Vec<Node>> {
     let mut lists = vec![Vec::new(); graph.num_nodes()];

@@ -54,8 +54,7 @@ pub enum RspanError {
         feature: &'static str,
     },
     /// Two configured options are incompatible (e.g. staleness measurement
-    /// without delta routing, a synchronous flood under the async
-    /// scheduler).
+    /// without delta routing, `threads(..)` under the async scheduler).
     IncompatibleOptions {
         /// Human-readable description of the clash.
         reason: String,

@@ -17,8 +17,8 @@
 //! * [`Session`] owns the engine, router and protocol driver, exposes
 //!   [`Session::step`] / [`Session::run`], and snapshots one uniform
 //!   [`Metrics`] shape across every configuration (spanner stats, repair
-//!   stats, flood stats, asim message/byte accounting, and the async
-//!   routing-table staleness counter).
+//!   stats, asim message/byte accounting, and the async routing-table
+//!   staleness counter).
 //!
 //! Every configuration is property-tested **bit-identical** to the
 //! hand-wired pipeline it replaces: the algorithms against their free
@@ -63,9 +63,7 @@ mod session;
 
 pub use algo::SpannerAlgo;
 pub use error::RspanError;
-pub use metrics::{
-    AsyncMetrics, ByzMetrics, FloodTotals, LocalMetrics, Metrics, RepairTotals, StalenessStats,
-};
+pub use metrics::{AsyncMetrics, ByzMetrics, LocalMetrics, Metrics, RepairTotals, StalenessStats};
 pub use net_runner::{NetRunReport, NetRunner};
 pub use rspan_distributed::{CompactRouter, LocalConfig, LocalRepairStats};
 pub use rspan_obs::{ObsConfig, ObsReport};

@@ -10,7 +10,6 @@
 
 use rspan_asim::{AsimStats, RoundReport, VTime};
 use rspan_core::StretchGuarantee;
-use rspan_distributed::RunStats;
 
 /// Totals of the incremental routing-table repairs a session performed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -19,23 +18,6 @@ pub struct RepairTotals {
     pub rows_recomputed: usize,
     /// Repairs applied (equals the committed rounds when routing is on).
     pub repairs: usize,
-}
-
-/// Totals of the per-commit §2.3 synchronous restabilisation floods.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FloodTotals {
-    /// Protocol rounds across all floods.
-    pub rounds: u64,
-    /// Point-to-point transmissions across all floods.
-    pub messages: u64,
-}
-
-impl FloodTotals {
-    /// Folds one flood's [`RunStats`] into the totals.
-    pub fn absorb(&mut self, stats: &RunStats) {
-        self.rounds += u64::from(stats.rounds);
-        self.messages += stats.messages;
-    }
 }
 
 /// Routing-table staleness observed while repair waves were in flight: at
@@ -251,8 +233,6 @@ pub struct Metrics {
     pub repair: Option<RepairTotals>,
     /// Compact-routing section (present iff local routing is configured).
     pub local: Option<LocalMetrics>,
-    /// Synchronous flood totals (present iff per-commit floods are on).
-    pub flood: Option<FloodTotals>,
     /// Asynchronous scheduler section (present iff the async scheduler is
     /// configured).
     pub asim: Option<AsyncMetrics>,
@@ -355,10 +335,6 @@ impl Metrics {
             fields.push(format!("\"stretch_p50\": {}", json_f64(local.stretch_p50)));
             fields.push(format!("\"stretch_p99\": {}", json_f64(local.stretch_p99)));
             fields.push(format!("\"stretch_max\": {}", json_f64(local.stretch_max)));
-        }
-        if let Some(flood) = &self.flood {
-            fields.push(format!("\"flood_rounds\": {}", flood.rounds));
-            fields.push(format!("\"flood_messages\": {}", flood.messages));
         }
         if let Some(asim) = &self.asim {
             let s = &asim.stats;
@@ -479,7 +455,6 @@ mod tests {
             spanner_flips: 0,
             repair: None,
             local: None,
-            flood: None,
             asim: None,
             staleness: None,
             byz: None,

@@ -15,7 +15,7 @@
 use crate::algo::SpannerAlgo;
 use crate::error::RspanError;
 use crate::metrics::{
-    AsyncMetrics, ByzMetrics, FloodTotals, LocalMetrics, Metrics, RepairTotals, StalenessStats,
+    AsyncMetrics, ByzMetrics, LocalMetrics, Metrics, RepairTotals, StalenessStats,
 };
 use rspan_asim::{
     honest_agreement, AsimConfig, AsimStats, AsyncChurnConfig, BoundaryInfo, CommittedRound,
@@ -24,8 +24,8 @@ use rspan_asim::{
 use rspan_core::{spanner_stats, SpannerStats, StretchGuarantee};
 use rspan_distributed::rb::{RbNode, RbStats, SeededAuth};
 use rspan_distributed::{
-    restabilise_flood, CompactRouter, DeltaRouter, LocalConfig, LocalRepairStats, RepairNode,
-    RoutingTables, TopologyChange,
+    CompactRouter, DeltaRouter, LocalConfig, LocalRepairStats, RepairNode, RoutingTables,
+    TopologyChange,
 };
 use rspan_engine::{ChurnScenario, RspanEngine, SpannerDelta};
 use rspan_graph::{bfs_into, CsrGraph, Node, Subgraph, TraversalScratch};
@@ -56,10 +56,7 @@ pub enum Repair {
 /// Which protocol scheduler drives stabilisation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Scheduler {
-    /// The synchronous round model: commits apply instantly; optionally each
-    /// commit's §2.3 repair flood runs to quiescence under
-    /// [`rspan_distributed::SyncNetwork`] rounds
-    /// ([`SessionBuilder::flood`]).
+    /// The synchronous round model: commits apply instantly.
     Sync,
     /// The deterministic discrete-event simulator of `rspan-asim`: commits
     /// land on a virtual timeline and epoch-stamped repair waves propagate
@@ -374,8 +371,7 @@ struct StalenessState {
 /// Builder for a [`Session`]; see [`Session::builder`].
 ///
 /// Defaults: [`SpannerAlgo::Exact`], no churn scenario, [`Repair::None`],
-/// [`Scheduler::Sync`], sequential commits, no flood accounting, no
-/// staleness measurement.
+/// [`Scheduler::Sync`], sequential commits, no staleness measurement.
 pub struct SessionBuilder {
     graph: CsrGraph,
     algo: SpannerAlgo,
@@ -383,7 +379,6 @@ pub struct SessionBuilder {
     routing: Repair,
     scheduler: Scheduler,
     threads: usize,
-    flood: bool,
     measure_staleness: bool,
     churn_interval: VTime,
     crash_prob: f64,
@@ -443,14 +438,6 @@ impl SessionBuilder {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self.threads_set = true;
-        self
-    }
-
-    /// Runs each sync commit's §2.3 restabilisation flood
-    /// ([`restabilise_flood`]) and folds its [`rspan_distributed::RunStats`]
-    /// into the metrics snapshot.  Sync scheduler only.
-    pub fn flood(mut self, flood: bool) -> Self {
-        self.flood = flood;
         self
     }
 
@@ -583,13 +570,6 @@ impl SessionBuilder {
                         reason: "threads(..) configured, but the async scheduler always \
                                  commits sequentially (matching run_repair_churn's \
                                  event timeline)"
-                            .into(),
-                    });
-                }
-                if self.flood {
-                    return Err(RspanError::IncompatibleOptions {
-                        reason: "per-commit synchronous floods cannot run under the async \
-                                 scheduler; repair waves already flood on the event timeline"
                             .into(),
                     });
                 }
@@ -744,7 +724,6 @@ impl SessionBuilder {
             router,
             scenario: self.churn,
             threads: self.threads,
-            flood: self.flood,
             mode,
             staleness,
             rounds: 0,
@@ -757,7 +736,6 @@ impl SessionBuilder {
             },
             local_totals: matches!(self.routing, Repair::Local(_)).then(LocalTotals::default),
             stretch_millis: Vec::new(),
-            flood_totals: self.flood.then(FloodTotals::default),
         })
     }
 }
@@ -781,7 +759,6 @@ pub struct Session {
     router: RouterState,
     scenario: Option<Box<dyn ChurnScenario>>,
     threads: usize,
-    flood: bool,
     mode: Mode,
     /// Observability sink (off unless [`SessionBuilder::observe`] was
     /// configured); every layer the session drives holds a clone.
@@ -799,7 +776,6 @@ pub struct Session {
     /// Measured compact-forwarding stretch samples, as ratio × 1000 fixed
     /// point ([`Session::sample_local_stretch`]).
     stretch_millis: Vec<u64>,
-    flood_totals: Option<FloodTotals>,
 }
 
 impl std::fmt::Debug for Session {
@@ -840,7 +816,6 @@ impl Session {
             routing: Repair::None,
             scheduler: Scheduler::Sync,
             threads: 1,
-            flood: false,
             measure_staleness: false,
             churn_interval: defaults.churn_interval,
             crash_prob: defaults.crash_prob,
@@ -899,13 +874,6 @@ impl Session {
             RouterState::Delta(router) => (Some(router.apply(&self.engine, batch, &delta)), None),
             RouterState::Local(router) => (None, Some(router.apply(&self.engine, batch, &delta))),
         };
-        if self.flood {
-            let run = restabilise_flood(&self.engine, &delta);
-            self.flood_totals
-                .as_mut()
-                .expect("flood totals allocated at build time")
-                .absorb(&run.stats);
-        }
         self.absorb(batch.len(), &delta, repair.as_ref(), local_repair.as_ref());
         StepReport {
             step: self.rounds - 1,
@@ -1204,7 +1172,6 @@ impl Session {
             spanner_flips: self.spanner_flips,
             repair: self.repair_totals.clone(),
             local,
-            flood: self.flood_totals.clone(),
             asim,
             staleness: self.staleness.as_ref().map(|s| s.stats.clone()),
             byz,

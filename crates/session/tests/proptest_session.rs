@@ -19,7 +19,7 @@ use rspan_core::{
     exact_remote_spanner, full_topology, greedy_spanner, k_connecting_remote_spanner,
     k_mis_remote_spanner, two_connecting_remote_spanner,
 };
-use rspan_distributed::{DeltaRouter, TreeStrategy};
+use rspan_distributed::DeltaRouter;
 use rspan_domtree::TreeAlgo;
 use rspan_engine::{ChurnScenario, JoinLeaveScenario, LinkFlapScenario, RspanEngine};
 use rspan_graph::generators::udg_with_density;
@@ -108,9 +108,9 @@ fn session_initial_build_matches_algo_constructor() {
 fn sync_session_bit_identical_to_churn_session() {
     for (seed, threads) in [(1u64, 1usize), (2, 4), (9, 0)] {
         let inst = udg_with_density(120, 10.0, seed);
-        let strategy = TreeStrategy::KGreedy { k: 2 };
+        let strategy = TreeAlgo::KGreedy { k: 2 };
 
-        let mut hand = RspanEngine::new(inst.graph.clone(), strategy.algo());
+        let mut hand = RspanEngine::new(inst.graph.clone(), strategy);
         let mut hand_router = DeltaRouter::new(&hand);
         let mut hand_scenario = LinkFlapScenario::new(&inst.graph, 2.5, seed + 100);
 
@@ -154,22 +154,6 @@ fn sync_session_bit_identical_to_churn_session() {
         assert!(metrics.repair.is_some());
         assert!(metrics.asim.is_none());
     }
-}
-
-#[test]
-fn sync_flood_session_accounts_messages() {
-    let inst = udg_with_density(80, 9.0, 6);
-    let mut session = Session::builder(inst.graph.clone())
-        .algo(SpannerAlgo::Exact)
-        .churn(LinkFlapScenario::new(&inst.graph, 2.0, 13))
-        .flood(true)
-        .build()
-        .unwrap();
-    session.run(6).unwrap();
-    let metrics = session.finish();
-    let flood = metrics.flood.expect("flood accounting configured");
-    assert!(flood.rounds > 0, "floods must run under churn");
-    assert!(flood.messages > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -602,19 +586,6 @@ fn builder_rejects_bad_configurations_with_structured_errors() {
         "{err}"
     );
     assert!(err.to_string().contains("threads"), "{err}");
-
-    // Sync floods cannot run under the async scheduler.
-    let graph = g();
-    let err = Session::builder(graph.clone())
-        .churn(flap(&graph))
-        .scheduler(Scheduler::Async(AsimConfig::default()))
-        .flood(true)
-        .build()
-        .unwrap_err();
-    assert!(
-        matches!(err, RspanError::IncompatibleOptions { .. }),
-        "{err}"
-    );
 
     // Byzantine knobs are async-only too.
     let err = Session::builder(g())

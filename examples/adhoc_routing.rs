@@ -61,7 +61,7 @@ fn main() {
 
     // End-to-end distributed execution of the k = 1 construction.
     println!("\ndistributed RemSpan protocol (Theorem 2, k = 1):");
-    let run = run_remspan_protocol(graph, TreeStrategy::KGreedy { k: 1 });
+    let run = run_remspan_protocol(graph, TreeAlgo::KGreedy { k: 1 });
     println!(
         "  completed in {} rounds with {} transmissions ({:.1} per node)",
         run.stats.rounds,

@@ -8,8 +8,9 @@ use remote_spanners::core::{
 };
 use remote_spanners::distributed::{
     apply_change, greedy_route, measure_routing, DeltaRouter, RouteOutcome, RoutingTables,
-    TopologyChange, TreeStrategy,
+    TopologyChange,
 };
+use remote_spanners::domtree::TreeAlgo;
 use remote_spanners::engine::RspanEngine;
 use remote_spanners::graph::generators::{gnp_connected, grid_graph, uniform_udg};
 use remote_spanners::graph::{CsrGraph, Node};
@@ -83,9 +84,9 @@ fn routing_individual_outcomes_are_well_formed() {
 #[test]
 fn restabilisation_after_changes_stays_correct_and_local() {
     let strategies = [
-        TreeStrategy::KGreedy { k: 1 },
-        TreeStrategy::KGreedy { k: 2 },
-        TreeStrategy::KMis { k: 2 },
+        TreeAlgo::KGreedy { k: 1 },
+        TreeAlgo::KGreedy { k: 2 },
+        TreeAlgo::KMis { k: 2 },
     ];
     for seed in [3u64, 4] {
         let g = gnp_connected(70, 0.07, seed);
@@ -93,7 +94,7 @@ fn restabilisation_after_changes_stays_correct_and_local() {
         let change = TopologyChange::RemoveEdge(eu, ev);
         let g2 = apply_change(&g, change);
         for strategy in strategies {
-            let mut engine = RspanEngine::new(g.clone(), strategy.algo());
+            let mut engine = RspanEngine::new(g.clone(), strategy);
             let delta = engine.commit(&[change]);
             // The incremental result must still be a valid remote-spanner of
             // the new graph (checked against the strategy's implied guarantee:
@@ -119,8 +120,8 @@ fn churn_session_routes_correctly_through_repaired_tables() {
     // changes; after every round the repaired tables must equal a
     // from-scratch build and still deliver packets along shortest H_u paths.
     let g = uniform_udg(80, 4.0, 1.0, 11).graph;
-    let strategy = TreeStrategy::KGreedy { k: 2 };
-    let mut engine = RspanEngine::new(g.clone(), strategy.algo());
+    let strategy = TreeAlgo::KGreedy { k: 2 };
+    let mut engine = RspanEngine::new(g.clone(), strategy);
     let mut router = DeltaRouter::new(&engine);
     let mut reference = g.clone();
     let edges: Vec<(Node, Node)> = g.edges().take(4).collect();
@@ -158,14 +159,14 @@ fn long_lived_engine_matches_a_fresh_engine_per_change() {
     // pools reused across changes) must agree with rebuilding a fresh
     // engine before every change, change for change.
     let g = gnp_connected(60, 0.08, 21);
-    let strategy = TreeStrategy::KGreedy { k: 1 };
-    let mut engine = RspanEngine::new(g.clone(), strategy.algo());
+    let strategy = TreeAlgo::KGreedy { k: 1 };
+    let mut engine = RspanEngine::new(g.clone(), strategy);
     let mut current = g.clone();
     let edges: Vec<(Node, Node)> = g.edges().take(3).collect();
     for &(u, v) in &edges {
         let change = TopologyChange::RemoveEdge(u, v);
         let next = apply_change(&current, change);
-        let mut fresh = RspanEngine::new(current.clone(), strategy.algo());
+        let mut fresh = RspanEngine::new(current.clone(), strategy);
         let fresh_delta = fresh.commit(&[change]);
         let delta = engine.commit(&[change]);
         let session_edges: Vec<(Node, Node)> = engine.spanner_on(&next).edges().collect();
@@ -182,7 +183,7 @@ fn long_lived_engine_matches_a_fresh_engine_per_change() {
 
 #[test]
 fn repeated_changes_converge_to_the_from_scratch_construction() {
-    let strategy = TreeStrategy::KGreedy { k: 1 };
+    let strategy = TreeAlgo::KGreedy { k: 1 };
     let g0 = gnp_connected(50, 0.1, 13);
     // Apply three successive changes, restabilising after each, and compare
     // with building from scratch on the final graph.
@@ -200,7 +201,7 @@ fn repeated_changes_converge_to_the_from_scratch_construction() {
             }
         }
     }
-    let mut engine = RspanEngine::new(current.clone(), strategy.algo());
+    let mut engine = RspanEngine::new(current.clone(), strategy);
     let mut spanner_edges: Option<Vec<(Node, Node)>> = None;
     for change in changes {
         let next = apply_change(&current, change);
@@ -208,7 +209,7 @@ fn repeated_changes_converge_to_the_from_scratch_construction() {
         spanner_edges = Some(engine.spanner_on(&next).edges().collect());
         current = next;
     }
-    let from_scratch = remote_spanners::core::rem_span(&current, |g, u| strategy.build_tree(g, u));
+    let from_scratch = remote_spanners::core::rem_span(&current, |g, u| strategy.build(g, u));
     let scratch_edges: Vec<(Node, Node)> = from_scratch.edges().collect();
     assert_eq!(spanner_edges.unwrap(), scratch_edges);
 }

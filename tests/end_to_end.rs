@@ -8,10 +8,10 @@ use remote_spanners::core::{
     k_connecting_remote_spanner, k_mis_remote_spanner, spanner_stats,
     two_connecting_remote_spanner, verify_k_connecting, verify_remote_stretch,
 };
-use remote_spanners::distributed::{run_remspan_protocol, TreeStrategy};
+use remote_spanners::distributed::run_remspan_protocol;
 use remote_spanners::domtree::{
     dom_tree_greedy, dom_tree_k_greedy, dom_tree_k_mis, dom_tree_mis, is_dominating_tree,
-    is_k_connecting_dominating_tree,
+    is_k_connecting_dominating_tree, TreeAlgo,
 };
 use remote_spanners::graph::generators::{
     complete_bipartite, cycle_graph, gnp_connected, grid_graph, hypercube_graph, petersen,
@@ -122,20 +122,17 @@ fn distributed_protocol_reproduces_every_centralized_construction() {
         ("udg-120".to_string(), uniform_udg(120, 4.0, 1.0, 21).graph),
     ] {
         for (strategy, central) in [
+            (TreeAlgo::KGreedy { k: 1 }, exact_remote_spanner(&g).spanner),
             (
-                TreeStrategy::KGreedy { k: 1 },
-                exact_remote_spanner(&g).spanner,
-            ),
-            (
-                TreeStrategy::KGreedy { k: 2 },
+                TreeAlgo::KGreedy { k: 2 },
                 k_connecting_remote_spanner(&g, 2).spanner,
             ),
             (
-                TreeStrategy::Mis { r: 3 },
+                TreeAlgo::Mis { r: 3 },
                 epsilon_remote_spanner(&g, 0.5).spanner,
             ),
             (
-                TreeStrategy::KMis { k: 2 },
+                TreeAlgo::KMis { k: 2 },
                 two_connecting_remote_spanner(&g).spanner,
             ),
         ] {
@@ -183,7 +180,7 @@ fn isolated_nodes_and_tiny_graphs_are_handled() {
         assert!(verify_remote_stretch(&built.spanner, &built.guarantee).holds());
     }
 
-    let run = run_remspan_protocol(&empty, TreeStrategy::KGreedy { k: 1 });
+    let run = run_remspan_protocol(&empty, TreeAlgo::KGreedy { k: 1 });
     assert_eq!(run.spanner.num_edges(), 0);
     assert!(run.stats.all_done);
 }
