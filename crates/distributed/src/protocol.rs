@@ -756,6 +756,16 @@ mod tests {
     use rspan_graph::generators::udg::uniform_udg;
 
     #[test]
+    fn strategy_metadata() {
+        assert_eq!(TreeAlgo::KGreedy { k: 1 }.knowledge_radius(), 1);
+        assert_eq!(TreeAlgo::KGreedy { k: 3 }.expected_rounds(), 3);
+        assert_eq!(TreeAlgo::KMis { k: 2 }.knowledge_radius(), 2);
+        assert_eq!(TreeAlgo::Mis { r: 3 }.knowledge_radius(), 3);
+        assert_eq!(TreeAlgo::Greedy { r: 3, beta: 1 }.knowledge_radius(), 3);
+        assert_eq!(TreeAlgo::Greedy { r: 2, beta: 0 }.expected_rounds(), 3);
+    }
+
+    #[test]
     fn distributed_matches_centralized_kgreedy() {
         for g in [cycle_graph(12), grid_graph(5, 5), petersen()] {
             let run = run_remspan_protocol(&g, TreeAlgo::KGreedy { k: 1 });
